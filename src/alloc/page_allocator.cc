@@ -1,6 +1,5 @@
 #include "alloc/page_allocator.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -8,202 +7,22 @@
 
 namespace deca::alloc {
 
-namespace {
-
-// Slabs pulled from the arena per refill, by class size: small classes
-// amortize the arena mutex over a batch, big classes come one at a time.
-int RefillBatch(int cls) {
-  const size_t bytes = ArenaAllocator::ClassBytes(cls);
-  if (bytes >= (1u << 20)) return 1;
-  return static_cast<int>(
-      std::max<size_t>(1, std::min<size_t>(32, (256u << 10) / bytes)));
-}
-
-// Thread -> shard registration. One cached (allocator, shard) pair covers
-// the common one-allocator-per-thread case without a map lookup on the hot
-// path; the vector handles threads touching several executors' allocators.
-struct TlsShardEntry {
-  const void* pa;
-  int shard;
-};
-thread_local TlsShardEntry g_tls_hot{nullptr, -1};
-thread_local std::vector<TlsShardEntry> g_tls_all;
-
-}  // namespace
-
-void PageAllocator::AtomicStack::Push(FreeNode* node) {
-  FreeNode* old = head.load(std::memory_order_relaxed);
-  do {
-    node->next = old;
-  } while (!head.compare_exchange_weak(old, node, std::memory_order_release,
-                                       std::memory_order_relaxed));
-}
-
-void PageAllocator::AtomicStack::PushChain(FreeNode* chain_head,
-                                           FreeNode* chain_tail) {
-  FreeNode* old = head.load(std::memory_order_relaxed);
-  do {
-    chain_tail->next = old;
-  } while (!head.compare_exchange_weak(old, chain_head,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed));
-}
-
-PageAllocator::PageAllocator(const ArenaOptions& options, int shards)
-    : PageAllocator(
-          options.enabled ? ArenaAllocator::Global(options) : nullptr,
-          shards) {}
-
-PageAllocator::PageAllocator(ArenaAllocator* arena, int shards)
-    : arena_(arena) {
-  DECA_CHECK_GT(shards, 0);
-  if (arena_ != nullptr) {
-    shards_.reserve(static_cast<size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-  }
-}
-
-PageAllocator::~PageAllocator() {
-  if (arena_ == nullptr) return;
-  // Hand every pooled slab back so the arena's central freelists (and the
-  // zero-leak invariant) survive this executor generation.
-  for (auto& shard : shards_) {
-    for (int cls = 0; cls < ArenaAllocator::kNumClasses; ++cls) {
-      arena_->ReturnSlabs(cls, shard->classes[cls].PopAll());
-    }
-  }
-}
-
-int PageAllocator::ShardForThisThread() const {
-  // The modulo guards against a stale TLS entry left by a dead allocator
-  // that happened to share this address but had more shards.
-  const int n = static_cast<int>(shards_.size());
-  if (g_tls_hot.pa == this) return g_tls_hot.shard % n;
-  for (const TlsShardEntry& e : g_tls_all) {
-    if (e.pa == this) {
-      g_tls_hot = e;
-      return e.shard % n;
-    }
-  }
-  int shard;
-  {
-    std::lock_guard<std::mutex> lock(register_mu_);
-    shard = static_cast<int>(next_shard_++ % shards_.size());
-  }
-  g_tls_all.push_back({this, shard});
-  g_tls_hot = {this, shard};
-  return shard;
-}
-
-FreeNode* PageAllocator::TakeFromShards(int cls, int my_shard) {
-  AtomicStack& mine = shards_[static_cast<size_t>(my_shard)]->classes[cls];
-  FreeNode* chain = mine.PopAll();
-  if (chain == nullptr) {
-    // Steal path: serialized so concurrent empty shards don't ping-pong
-    // each other's refills; pop-all keeps it ABA-free like the fast path.
-    std::lock_guard<std::mutex> lock(steal_mu_);
-    for (size_t i = 0; chain == nullptr && i < shards_.size(); ++i) {
-      if (static_cast<int>(i) == my_shard) continue;
-      chain = shards_[i]->classes[cls].PopAll();
-    }
-    if (chain != nullptr) {
-      freelist_steals_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (chain == nullptr) return nullptr;
-  slab_reuses_.fetch_add(1, std::memory_order_relaxed);
-  // Keep the head, give the remainder back to our shard.
-  FreeNode* node = chain;
-  if (chain->next != nullptr) {
-    FreeNode* rest = chain->next;
-    FreeNode* tail = rest;
-    while (tail->next != nullptr) tail = tail->next;
-    mine.PushChain(rest, tail);
-  }
-  node->next = nullptr;
-  return node;
+void AllocStats::Add(const AllocStats& o) {
+  alloc_calls += o.alloc_calls;
+  free_calls += o.free_calls;
+  bytes_requested += o.bytes_requested;
 }
 
 Block PageAllocator::Allocate(size_t bytes) {
   DECA_CHECK_GT(bytes, 0u);
-  alloc_calls_.fetch_add(1, std::memory_order_relaxed);
-  bytes_requested_.fetch_add(bytes, std::memory_order_relaxed);
-
-  Block b;
-  b.size = bytes;
-  if (arena_ == nullptr) {
-    b.data = new uint8_t[bytes];
-    b.cap = bytes;
-    b.kind = Block::kFallback;
-    return b;
-  }
-
-  const int cls = ArenaAllocator::SizeClass(bytes);
-  if (cls < 0) {
-    Mapping m = arena_->MapDirect(bytes, /*numa_node=*/-1);
-    direct_maps_.fetch_add(1, std::memory_order_relaxed);
-    b.data = static_cast<uint8_t*>(m.addr);
-    b.cap = bytes;
-    b.map_bytes = m.bytes;
-    b.kind = Block::kDirect;
-    return b;
-  }
-
-  const int my_shard = ShardForThisThread();
-  FreeNode* node = TakeFromShards(cls, my_shard);
-  if (node == nullptr) {
-    int taken = 0;
-    FreeNode* chain = arena_->TakeSlabs(cls, RefillBatch(cls), &taken);
-    slab_allocs_.fetch_add(static_cast<uint64_t>(taken),
-                           std::memory_order_relaxed);
-    node = chain;
-    if (chain->next != nullptr) {
-      FreeNode* rest = chain->next;
-      FreeNode* tail = rest;
-      while (tail->next != nullptr) tail = tail->next;
-      shards_[static_cast<size_t>(my_shard)]->classes[cls].PushChain(rest,
-                                                                     tail);
-    }
-  }
-  b.data = reinterpret_cast<uint8_t*>(node);
-  b.cap = ArenaAllocator::ClassBytes(cls);
-  b.cls = static_cast<int8_t>(cls);
-  b.shard = static_cast<int8_t>(my_shard);
-  b.kind = Block::kSlab;
-  return b;
+  NoteAlloc(bytes);
+  return Block{new uint8_t[bytes], bytes};
 }
 
 void PageAllocator::Free(Block* block) {
   if (block == nullptr || !block->valid()) return;
-  free_calls_.fetch_add(1, std::memory_order_relaxed);
-  switch (block->kind) {
-    case Block::kFallback:
-      delete[] block->data;
-      break;
-    case Block::kDirect: {
-      Mapping m;
-      m.addr = block->data;
-      m.bytes = block->map_bytes;
-      arena_->UnmapDirect(m);
-      direct_unmaps_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    case Block::kSlab: {
-      const int my_shard = ShardForThisThread();
-      if (my_shard != block->shard) {
-        remote_frees_.fetch_add(1, std::memory_order_relaxed);
-      }
-      auto* node = reinterpret_cast<FreeNode*>(block->data);
-      shards_[static_cast<size_t>(my_shard)]
-          ->classes[block->cls]
-          .Push(node);
-      break;
-    }
-    case Block::kNone:
-      DECA_CHECK(false) << "Free of an invalid block kind";
-  }
+  NoteFree();
+  delete[] block->data;
   *block = Block{};
 }
 
@@ -221,27 +40,19 @@ AllocStats PageAllocator::Stats() const {
   s.alloc_calls = alloc_calls_.load(std::memory_order_relaxed);
   s.free_calls = free_calls_.load(std::memory_order_relaxed);
   s.bytes_requested = bytes_requested_.load(std::memory_order_relaxed);
-  s.slab_allocs = slab_allocs_.load(std::memory_order_relaxed);
-  s.slab_reuses = slab_reuses_.load(std::memory_order_relaxed);
-  s.freelist_steals = freelist_steals_.load(std::memory_order_relaxed);
-  s.remote_frees = remote_frees_.load(std::memory_order_relaxed);
-  s.direct_maps = direct_maps_.load(std::memory_order_relaxed);
-  s.direct_unmaps = direct_unmaps_.load(std::memory_order_relaxed);
   return s;
-}
-
-void AddGlobalArenaStats(AllocStats* out) {
-  ArenaAllocator* arena = ArenaAllocator::GlobalIfCreated();
-  if (arena != nullptr) arena->AddGlobalStats(out);
 }
 
 std::shared_ptr<Bytes> Bytes::New(PageAllocator* pa, size_t n) {
   auto b = std::shared_ptr<Bytes>(new Bytes());
-  if (pa != nullptr && n > 0) {
-    b->pa_ = pa;
-    b->block_ = pa->Allocate(n);
-  } else {
-    b->vec_.resize(n);
+  if (n > 0) {
+    b->raw_.reset(new uint8_t[n]);
+    b->data_ = b->raw_.get();
+    b->size_ = n;
+    if (pa != nullptr) {
+      pa->NoteAlloc(n);
+      b->pa_ = pa;
+    }
   }
   return b;
 }
@@ -255,58 +66,47 @@ std::shared_ptr<const Bytes> Bytes::Copy(PageAllocator* pa,
 
 std::shared_ptr<const Bytes> Bytes::FromWriter(PageAllocator* pa,
                                                std::vector<uint8_t> buf) {
-  if (pa != nullptr && pa->arena_active()) {
-    return Copy(pa, buf.data(), buf.size());
-  }
   auto b = std::shared_ptr<Bytes>(new Bytes());
-  b->vec_ = std::move(buf);
+  b->adopted_ = std::move(buf);
+  b->data_ = b->adopted_.data();
+  b->size_ = b->adopted_.size();
   if (pa != nullptr) {
-    // Count the adoption so fallback-mode counters match the arena path.
-    pa->NoteAlloc(b->vec_.size());
+    pa->NoteAlloc(b->size_);
     b->pa_ = pa;
-    b->counted_ = true;
   }
   return b;
 }
 
 Bytes::~Bytes() {
-  if (block_.valid()) {
-    pa_->Free(&block_);
-  } else if (counted_) {
-    pa_->NoteFree();
-  }
+  if (pa_ != nullptr) pa_->NoteFree();
 }
 
 ScratchBuffer::ScratchBuffer(ScratchBuffer&& o) noexcept
-    : pa_(o.pa_), block_(o.block_), vec_(std::move(o.vec_)) {
-  o.block_ = Block{};
-}
+    : pa_(o.pa_), buf_(std::move(o.buf_)), cap_(std::exchange(o.cap_, 0)) {}
 
 ScratchBuffer& ScratchBuffer::operator=(ScratchBuffer&& o) noexcept {
   if (this != &o) {
     Release();
     pa_ = o.pa_;
-    block_ = o.block_;
-    vec_ = std::move(o.vec_);
-    o.block_ = Block{};
+    buf_ = std::move(o.buf_);
+    cap_ = std::exchange(o.cap_, 0);
   }
   return *this;
 }
 
 void ScratchBuffer::Reserve(size_t n) {
-  if (n == 0 || n <= capacity()) return;
-  if (pa_ != nullptr) {
-    if (block_.valid()) pa_->Free(&block_);
-    block_ = pa_->Allocate(n);
-  } else {
-    vec_.resize(n);
-  }
+  if (n <= cap_) return;
+  Release();
+  buf_.reset(new uint8_t[n]);
+  cap_ = n;
+  if (pa_ != nullptr) pa_->NoteAlloc(n);
 }
 
 void ScratchBuffer::Release() {
-  if (pa_ != nullptr && block_.valid()) pa_->Free(&block_);
-  vec_.clear();
-  vec_.shrink_to_fit();
+  if (buf_ == nullptr) return;
+  if (pa_ != nullptr) pa_->NoteFree();
+  buf_.reset();
+  cap_ = 0;
 }
 
 }  // namespace deca::alloc

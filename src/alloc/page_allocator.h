@@ -5,57 +5,46 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
-
-#include "alloc/arena.h"
 
 namespace deca::alloc {
 
-/// One allocation handed out by a PageAllocator. Plain value type: the
-/// caller owns it until Free (or wraps it in Bytes/ScratchBuffer below).
-struct Block {
-  enum Kind : uint8_t { kNone = 0, kFallback = 1, kSlab = 2, kDirect = 3 };
+/// Point-in-time allocator counters. One struct serves three scopes —
+/// per-PageAllocator handles, per-executor snapshots, and the run-level
+/// aggregate — so `Add` must stay a plain field-wise sum. All three are
+/// driven purely by engine call sites, so they are bit-identical across
+/// thread counts and local vs process runs, and report_diff exact-compares
+/// them.
+struct AllocStats {
+  uint64_t alloc_calls = 0;
+  uint64_t free_calls = 0;
+  uint64_t bytes_requested = 0;
 
+  void Add(const AllocStats& o);
+};
+
+/// Empty; kept only so the `PageAllocator(ArenaOptions{}, shards)` callers
+/// in perfbench/ keep compiling.
+struct ArenaOptions {};
+
+/// One allocation handed out by PageAllocator::Allocate. Plain value type:
+/// the caller owns it until Free.
+struct Block {
   uint8_t* data = nullptr;
-  size_t size = 0;  // requested bytes
-  size_t cap = 0;   // usable capacity (class size / mapping size)
-  Kind kind = kNone;
-  int8_t cls = -1;       // size class for kSlab
-  int8_t shard = -1;     // shard that served a kSlab alloc (remote-free stat)
-  size_t map_bytes = 0;  // full mapping size for kDirect
+  size_t size = 0;
 
   bool valid() const { return data != nullptr; }
 };
 
-/// Per-executor allocation facade. In arena mode it pools size-class slabs
-/// in per-worker-thread shards; otherwise it degrades to `new[]`/`delete[]`
-/// while still counting every call, so the deterministic counters in
-/// AllocStats are bit-identical across DECA_ARENA=0|1.
-///
-/// Shard protocol (ABA-free):
-///   * each shard keeps one Treiber stack per size class; pushes are a CAS
-///     loop and the only pop is `exchange(nullptr)` (pop-all), so no node
-///     is ever re-read after a concurrent pop — allocation takes the whole
-///     chain, keeps the head, and CASes the remainder back;
-///   * frees push onto the *freeing* thread's shard (a cross-thread free is
-///     counted as remote_frees via the origin shard recorded in the Block);
-///   * when a shard comes up empty the allocator takes `steal_mu_` and
-///     raids the sibling shards' stacks (pop-all again), keeping the steal
-///     path serialized while leaving the lock-free fast path untouched;
-///   * last resort is the shared ArenaAllocator: central freelist, then a
-///     fresh carve, refilling the local shard with the surplus.
+/// Per-executor counting allocator: plain `new[]`/`delete[]` with every
+/// call and requested byte counted, so a run reports the native buffers
+/// behind its heap, T1 payloads and spill/tier I/O. Thread-safe; the
+/// counters are relaxed atomics.
 class PageAllocator {
  public:
-  /// Arena mode resolves to the process-global arena; with
-  /// options.enabled == false the handle runs in counting fallback mode.
-  PageAllocator(const ArenaOptions& options, int shards);
-
-  /// Test seam: pool on an explicit (usually private) arena.
-  PageAllocator(ArenaAllocator* arena, int shards);
-
-  /// Returns pooled slabs to the arena's central freelists.
-  ~PageAllocator();
+  PageAllocator() = default;
+  /// Same as the default constructor; exists only for perfbench/.
+  PageAllocator(const ArenaOptions&, int /*shards*/) {}
 
   PageAllocator(const PageAllocator&) = delete;
   PageAllocator& operator=(const PageAllocator&) = delete;
@@ -63,73 +52,33 @@ class PageAllocator {
   Block Allocate(size_t bytes);
   void Free(Block* block);
 
-  /// Counts an allocation that bypassed Allocate (the zero-copy vector
-  /// fallback in Bytes): keeps alloc_calls/bytes_requested identical to
-  /// the arena path without forcing a copy in fallback mode.
+  /// Counts an allocation made elsewhere (a buffer owned by Bytes,
+  /// ScratchBuffer or the heap) and its release.
   void NoteAlloc(size_t bytes);
   void NoteFree();
 
-  bool arena_active() const { return arena_ != nullptr; }
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /// This handle's counters only; global arena fields stay zero (the
-  /// run-level aggregate overlays them once via AddGlobalArenaStats).
   AllocStats Stats() const;
 
  private:
-  struct AtomicStack {
-    std::atomic<FreeNode*> head{nullptr};
-
-    void Push(FreeNode* node);
-    void PushChain(FreeNode* chain_head, FreeNode* chain_tail);
-    FreeNode* PopAll() { return head.exchange(nullptr, std::memory_order_acquire); }
-  };
-
-  struct alignas(64) Shard {
-    AtomicStack classes[ArenaAllocator::kNumClasses];
-  };
-
-  int ShardForThisThread() const;
-  FreeNode* TakeFromShards(int cls, int my_shard);
-
-  ArenaAllocator* arena_ = nullptr;  // null => counting fallback mode
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::mutex steal_mu_;
-  mutable std::mutex register_mu_;
-  mutable uint32_t next_shard_ = 0;
-
   std::atomic<uint64_t> alloc_calls_{0};
   std::atomic<uint64_t> free_calls_{0};
   std::atomic<uint64_t> bytes_requested_{0};
-  std::atomic<uint64_t> slab_allocs_{0};
-  std::atomic<uint64_t> slab_reuses_{0};
-  std::atomic<uint64_t> freelist_steals_{0};
-  std::atomic<uint64_t> remote_frees_{0};
-  std::atomic<uint64_t> direct_maps_{0};
-  std::atomic<uint64_t> direct_unmaps_{0};
 };
 
-/// Overlays the process-global arena's chunk/hugepage fields onto `out`;
-/// a no-op when no global arena was ever created (DECA_ARENA=0 runs).
-void AddGlobalArenaStats(AllocStats* out);
-
-/// Immutable shared byte buffer, arena-capable. Replaces the block store's
-/// `shared_ptr<const vector<uint8_t>>` payloads: same data()/size() shape,
-/// but the storage can come from a PageAllocator (and is returned to it by
-/// the destructor, from whichever thread drops the last reference).
+/// Immutable shared byte buffer, counted on a PageAllocator when one is
+/// given (the count is released by the destructor, from whichever thread
+/// drops the last reference). Same data()/size() shape as a vector.
 class Bytes {
  public:
-  /// Uninitialized buffer of `n` bytes from `pa` (new[] when pa is null);
-  /// fill via mutable_data() before sharing.
+  /// Uninitialized buffer of `n` bytes; fill via mutable_data() before
+  /// sharing.
   static std::shared_ptr<Bytes> New(PageAllocator* pa, size_t n);
 
   /// Copy of `[src, src+n)`.
   static std::shared_ptr<const Bytes> Copy(PageAllocator* pa,
                                            const uint8_t* src, size_t n);
 
-  /// Zero-copy adoption of serializer output. In arena mode the vector is
-  /// copied into a slab; otherwise it is moved in and only *counted* on
-  /// `pa` (NoteAlloc/NoteFree), keeping counters mode-identical.
+  /// Zero-copy adoption of serializer output.
   static std::shared_ptr<const Bytes> FromWriter(PageAllocator* pa,
                                                  std::vector<uint8_t> buf);
 
@@ -138,28 +87,27 @@ class Bytes {
   Bytes(const Bytes&) = delete;
   Bytes& operator=(const Bytes&) = delete;
 
-  const uint8_t* data() const {
-    return block_.valid() ? block_.data : vec_.data();
-  }
-  uint8_t* mutable_data() {
-    return block_.valid() ? block_.data : vec_.data();
-  }
-  size_t size() const { return block_.valid() ? block_.size : vec_.size(); }
+  const uint8_t* data() const { return data_; }
+  uint8_t* mutable_data() { return data_; }
+  size_t size() const { return size_; }
 
  private:
   Bytes() = default;
 
-  PageAllocator* pa_ = nullptr;
-  bool counted_ = false;  // vector storage charged via NoteAlloc
-  Block block_;
-  std::vector<uint8_t> vec_;
+  PageAllocator* pa_ = nullptr;  // set when this buffer is counted
+  uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+  // Owner of data_: a fresh new[] buffer (New/Copy) or the adopted
+  // serializer vector (FromWriter).
+  std::unique_ptr<uint8_t[]> raw_;
+  std::vector<uint8_t> adopted_;
 };
 
 using BytesPtr = std::shared_ptr<const Bytes>;
 
-/// Reusable grow-only scratch buffer for file I/O (spill-run merge records,
-/// tier reads). Reserve discards contents; arena slabs back it when the
-/// owning heap has a PageAllocator.
+/// Reusable grow-only scratch buffer for file I/O (spill-run merge
+/// records). Reserve discards contents; every (re)allocation is counted on
+/// the owning heap's PageAllocator when it has one.
 class ScratchBuffer {
  public:
   explicit ScratchBuffer(PageAllocator* pa) : pa_(pa) {}
@@ -174,17 +122,13 @@ class ScratchBuffer {
   void Reserve(size_t n);
   void Release();
 
-  uint8_t* data() {
-    return pa_ != nullptr ? block_.data : vec_.data();
-  }
-  size_t capacity() const {
-    return pa_ != nullptr ? block_.cap : vec_.size();
-  }
+  uint8_t* data() { return buf_.get(); }
+  size_t capacity() const { return cap_; }
 
  private:
   PageAllocator* pa_ = nullptr;
-  Block block_;
-  std::vector<uint8_t> vec_;
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t cap_ = 0;
 };
 
 }  // namespace deca::alloc

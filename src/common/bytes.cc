@@ -39,6 +39,8 @@ uint64_t ByteReader::ReadVarU64() {
     result |= static_cast<uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) break;
     shift += 7;
+    // A u64 fits in 10 bytes; an 11th would shift past bit 63.
+    DECA_CHECK(shift <= 63) << "varint longer than 10 bytes";
   }
   return result;
 }

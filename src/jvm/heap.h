@@ -450,8 +450,7 @@ class Heap {
 
   HeapConfig config_;
   ClassRegistry* registry_;
-  std::unique_ptr<uint8_t[]> buffer_;      // standalone heaps only
-  alloc::Block arena_buffer_;              // when config.page_allocator set
+  std::unique_ptr<uint8_t[]> buffer_;
   uint8_t* base_ = nullptr;
   size_t buffer_bytes_ = 0;
   std::unique_ptr<Collector> collector_;

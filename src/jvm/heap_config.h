@@ -77,12 +77,9 @@ struct HeapConfig {
   uint64_t profile_seed = 1;
 
   /// Runtime wiring (never serialized; set by the owning Executor): when
-  /// non-null the heap's backing buffer is carved from this allocator — a
-  /// huge-page arena mapping under DECA_ARENA=1, a counted `new[]`
-  /// otherwise — so every PageGroup page physically lives in arena memory
-  /// while the GC simulation stays byte-for-byte identical. Null (the
-  /// default, and every standalone test heap) keeps the plain
-  /// make_unique buffer.
+  /// non-null the heap's backing buffer is counted on this allocator, and
+  /// the spill and tier paths borrow it for their staging buffers. Null
+  /// (the default, and every standalone test heap) counts nothing.
   alloc::PageAllocator* page_allocator = nullptr;
 };
 

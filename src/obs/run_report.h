@@ -78,28 +78,16 @@ struct PauseAgg {
 };
 
 /// Native-allocator plane of a run (schema v5). Absent
-/// (`present == false`) for reports written before the arena subsystem
-/// or for standalone-heap runs that never touched a PageAllocator. The
-/// call/byte counters are deterministic — every engine consumer routes
-/// through the allocator in both DECA_ARENA modes, so they are
-/// bit-compared by report_diff. The slab/steal/chunk fields depend on
-/// thread timing and huge-page availability and are informational only
-/// (never bit-compared; zero when the arena is off).
+/// (`present == false`) for reports written before v5 or for
+/// standalone-heap runs that never touched a PageAllocator. The counters
+/// are deterministic and bit-compared by report_diff. The reader ignores
+/// the informational arena keys (`arena`, `slab_*`, `chunks_mapped`, ...)
+/// that older v5 reports carry.
 struct AllocAgg {
   bool present = false;
-  bool arena = false;  // DECA_ARENA=1 (mmap slabs) vs fallback new[]
   uint64_t alloc_calls = 0;
   uint64_t free_calls = 0;
   uint64_t bytes_requested = 0;
-  uint64_t slab_allocs = 0;
-  uint64_t slab_reuses = 0;
-  uint64_t freelist_steals = 0;
-  uint64_t remote_frees = 0;
-  uint64_t direct_maps = 0;
-  uint64_t direct_unmaps = 0;
-  uint64_t chunks_mapped = 0;
-  uint64_t hugepage_chunks = 0;
-  uint64_t arena_bytes_reserved = 0;
 };
 
 /// One workload run (one mode / configuration) inside a bench binary.

@@ -160,8 +160,8 @@ PackedBlock CacheManager::Pack(BlockKey key, const Entry& e,
     case StorageLevel::kDecaPages: {
       // Decomposed bytes pack as-is — no per-record serialization cost
       // (paper Appendix C). The staging buffer is sized exactly from
-      // encoded_raw_bytes() and written in place, so arena mode never
-      // round-trips through a growable vector.
+      // encoded_raw_bytes() and written in place, never round-tripping
+      // through a growable vector.
       const size_t n = e.pages->encoded_raw_bytes();
       auto staged = alloc::Bytes::New(pa, n);
       const size_t written = e.pages->EncodeRawTo(staged->mutable_data());

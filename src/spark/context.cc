@@ -808,10 +808,6 @@ alloc::AllocStats SparkContext::TotalAllocStats() const {
       total.Add(e->page_allocator()->Stats());
     }
   }
-  // The chunk-level fields live on the process-wide arena, not the
-  // per-executor handles; overlay them once (no-op when DECA_ARENA=0 and
-  // the global arena was never created).
-  alloc::AddGlobalArenaStats(&total);
   return total;
 }
 

@@ -45,8 +45,8 @@ class Executor {
  private:
   int id_;
   std::unique_ptr<memory::ExecutorMemoryManager> memory_;
-  // Declared before the heap/cache so every arena-backed buffer (heap
-  // backing, T1 payloads, spill scratch) is freed before its allocator.
+  // Declared before the heap/cache so every counted buffer (heap backing,
+  // T1 payloads, spill scratch) is released before its allocator.
   std::unique_ptr<alloc::PageAllocator> alloc_;
   std::unique_ptr<jvm::Heap> heap_;
   std::unique_ptr<CacheManager> cache_;

@@ -516,8 +516,8 @@ void DecaSortSpillWriter::Merge(
               return less_(pages_->Resolve(a.first),
                            pages_->Resolve(b.first));
             });
-  // One cursor per spilled run, each holding a single record in an
-  // allocator-backed scratch buffer (arena slabs under DECA_ARENA=1).
+  // One cursor per spilled run, each holding a single record in a
+  // scratch buffer counted on the heap's allocator.
   struct Run {
     std::FILE* file = nullptr;
     alloc::ScratchBuffer record;

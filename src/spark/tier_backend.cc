@@ -23,8 +23,7 @@ void WriteFileBytes(const std::string& path, const uint8_t* data,
   std::fclose(f);
 }
 
-/// Reads a whole swap file into an allocator-backed buffer (arena slabs
-/// under DECA_ARENA=1, counted `new[]` otherwise).
+/// Reads a whole swap file into a buffer counted on `pa`.
 alloc::BytesPtr ReadFileBytes(const std::string& path,
                               alloc::PageAllocator* pa) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -54,8 +54,7 @@ struct BlockKeyHash {
 struct PackedBlock {
   StorageLevel level = StorageLevel::kMemoryObjects;
   uint32_t count = 0;
-  // Arena-capable payload (alloc::Bytes keeps the vector's data()/size()
-  // shape); under DECA_ARENA=1 these live in huge-page slab memory.
+  // Counted payload (alloc::Bytes keeps the vector's data()/size() shape).
   alloc::BytesPtr bytes;
 
   bool valid() const { return bytes != nullptr; }
@@ -145,8 +144,7 @@ class OffHeapTier : public TierBackend {
 /// keeps level/count in its entry.
 class DiskTier : public TierBackend {
  public:
-  /// `pa` (may be null) backs Load's read buffers: arena slabs under
-  /// DECA_ARENA=1, counted `new[]` otherwise.
+  /// `pa` (may be null) counts Load's read buffers.
   DiskTier(std::string dir, int executor_id, alloc::PageAllocator* pa)
       : dir_(std::move(dir)), executor_id_(executor_id), pa_(pa) {}
   ~DiskTier() override;

@@ -81,6 +81,10 @@ void ExpectSameRun(const workloads::RunResult& a,
   EXPECT_EQ(a.executor_wipes, b.executor_wipes);
   EXPECT_EQ(a.recomputed_blocks, b.recomputed_blocks);
   EXPECT_EQ(a.oom_recoveries, b.oom_recoveries);
+  // The allocator's counters are part of the determinism contract too.
+  EXPECT_EQ(a.alloc.alloc_calls, b.alloc.alloc_calls);
+  EXPECT_EQ(a.alloc.free_calls, b.alloc.free_calls);
+  EXPECT_EQ(a.alloc.bytes_requested, b.alloc.bytes_requested);
 }
 
 TEST(ClusterDistTest, WordCountMatrixLocalEqualsProcess) {

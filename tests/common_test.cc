@@ -84,6 +84,24 @@ TEST(BytesTest, VarintRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(BytesTest, OverlongVarintDies) {
+  // UINT64_MAX takes the full 10 bytes and still decodes.
+  ByteWriter w;
+  w.WriteVarU64(UINT64_MAX);
+  ASSERT_EQ(w.size(), 10u);
+  ByteReader ok(w.data(), w.size());
+  EXPECT_EQ(ok.ReadVarU64(), UINT64_MAX);
+  // Ten continuation bytes would shift the 11th byte past bit 63.
+  std::vector<uint8_t> bad(10, 0xff);
+  bad.push_back(0x01);
+  EXPECT_DEATH(
+      {
+        ByteReader r(bad.data(), bad.size());
+        r.ReadVarU64();
+      },
+      "varint longer than 10 bytes");
+}
+
 TEST(BytesTest, SignedVarintRoundTrip) {
   ByteWriter w;
   const int64_t values[] = {0, -1, 1, -64, 63, -1000000, 1000000,

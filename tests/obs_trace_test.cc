@@ -261,6 +261,30 @@ TEST(RunReportTest, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(json, ToJson(back));
 }
 
+TEST(RunReportTest, FromJsonReadsOlderV5AllocAggregates) {
+  // v5 reports written with the arena's informational keys still parse;
+  // only the three counters survive.
+  RunReport out;
+  std::string err;
+  ASSERT_TRUE(FromJson(
+      R"({"schema":"deca-run-report","version":5,"bench":"x","runs":[
+          {"label":"WC/Deca","metrics":[],"alloc":{"arena":false,
+           "alloc_calls":7,"free_calls":6,"bytes_requested":4096,
+           "slab_allocs":0,"slab_reuses":0,"freelist_steals":0,
+           "remote_frees":0,"direct_maps":0,"direct_unmaps":0,
+           "chunks_mapped":0,"hugepage_chunks":0,
+           "arena_bytes_reserved":0}}]})",
+      &out, &err))
+      << err;
+  ASSERT_EQ(out.runs.size(), 1u);
+  const obs::AllocAgg& a = out.runs[0].alloc;
+  EXPECT_TRUE(a.present);
+  EXPECT_EQ(a.alloc_calls, 7u);
+  EXPECT_EQ(a.free_calls, 6u);
+  EXPECT_EQ(a.bytes_requested, 4096u);
+  EXPECT_EQ(ToJson(out).find("arena"), std::string::npos);
+}
+
 TEST(RunReportTest, FromJsonRejectsGarbageAndWrongSchema) {
   RunReport out;
   std::string err;
