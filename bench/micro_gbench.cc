@@ -7,6 +7,7 @@
 
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "common/random.h"
 #include "core/page.h"
@@ -178,6 +179,37 @@ void BM_DecaHashCombine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50000);
 }
 BENCHMARK(BM_DecaHashCombine)->Arg(1000)->Arg(20000);
+
+/// The Deca buffer at a stream-wordcount reducer's shape: a fresh table
+/// per 8,750 inserts drawn from the 4,096 of 16,384 keys whose hash is
+/// routed to one of 4 reducers. `hash % 4` routing leaves every key with
+/// the same two low hash bits, so home slots cluster on a quarter of the
+/// table; each table also grows from 64 to 8,192 slots.
+void BM_DecaHashReduceShape(benchmark::State& state) {
+  HeapFixture f;
+  spark::ShuffleOps ops = SumOps(&f.registry);
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 16384; ++k) {
+    if (ops.deca_key_hash(reinterpret_cast<const uint8_t*>(&k)) % 4 == 0) {
+      keys.push_back(k);
+    }
+  }
+  constexpr int kInserts = 8750;
+  Rng rng(5);
+  std::vector<int64_t> stream(kInserts);
+  for (int64_t& k : stream) k = keys[rng.NextBounded(keys.size())];
+  for (auto _ : state) {
+    spark::DecaHashShuffleBuffer buf(f.heap.get(), &ops, 64u << 10);
+    for (int64_t k : stream) {
+      int64_t one = 1;
+      buf.Insert(reinterpret_cast<const uint8_t*>(&k),
+                 reinterpret_cast<const uint8_t*>(&one));
+    }
+    benchmark::DoNotOptimize(buf.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kInserts);
+}
+BENCHMARK(BM_DecaHashReduceShape);
 
 /// Ablation: the static-offset hash table (paper Section 4.3.2 — no
 /// pointer array, slots addressed arithmetically within the pages) vs the

@@ -12,6 +12,18 @@
 
 namespace deca::spark {
 
+namespace {
+
+// The hash buffers index slots with `hash & (capacity - 1)`, which equals
+// `hash % capacity` only for power-of-two capacities.
+void CheckPowerOfTwo(uint32_t capacity) {
+  DECA_CHECK(capacity != 0 && (capacity & (capacity - 1)) == 0)
+      << "hash buffer capacity must be a nonzero power of two, got "
+      << capacity;
+}
+
+}  // namespace
+
 // -- LocalShuffleService ------------------------------------------------------
 
 LocalShuffleService::ShuffleData* LocalShuffleService::Find(int shuffle_id) const {
@@ -112,6 +124,7 @@ ObjectHashShuffleBuffer::ObjectHashShuffleBuffer(jvm::Heap* heap,
                                                  const ShuffleOps* ops,
                                                  uint32_t initial_capacity)
     : heap_(heap), ops_(ops), capacity_(initial_capacity) {
+  CheckPowerOfTwo(initial_capacity);
   // Allocate before registering the root provider: if the allocation
   // throws (OOM), the heap must not keep a pointer to this dying buffer.
   jvm::ObjRef table = heap_->AllocateArray(
@@ -131,7 +144,7 @@ void ObjectHashShuffleBuffer::Insert(jvm::ObjRef key0, jvm::ObjRef value0) {
   if ((size_ + 1) * 10 > capacity_ * 7) Grow();
   uint64_t h = ops_->key_hash(heap_, hk.get());
   for (uint32_t probe = 0;; ++probe) {
-    uint32_t i = static_cast<uint32_t>((h + probe) % capacity_);
+    uint32_t i = static_cast<uint32_t>((h + probe) & (capacity_ - 1));
     jvm::ObjRef k = heap_->GetRefElem(table(), 2 * i);
     if (k == jvm::kNullRef) {
       heap_->SetRefElem(table(), 2 * i, hk.get());
@@ -164,7 +177,7 @@ void ObjectHashShuffleBuffer::Grow() {
     jvm::ObjRef v = heap_->GetRefElem(old, 2 * i + 1);
     uint64_t h = ops_->key_hash(heap_, k);
     for (uint32_t probe = 0;; ++probe) {
-      uint32_t j = static_cast<uint32_t>((h + probe) % new_capacity);
+      uint32_t j = static_cast<uint32_t>((h + probe) & (new_capacity - 1));
       if (heap_->GetRefElem(fresh, 2 * j) == jvm::kNullRef) {
         heap_->SetRefElem(fresh, 2 * j, k);
         heap_->SetRefElem(fresh, 2 * j + 1, v);
@@ -205,8 +218,9 @@ DecaHashShuffleBuffer::DecaHashShuffleBuffer(jvm::Heap* heap,
     : heap_(heap),
       ops_(ops),
       pages_(std::make_shared<core::PageGroup>(heap, page_bytes)),
-      slots_(initial_capacity, kEmpty),
+      slots_(initial_capacity),
       entry_bytes_(ops->deca_key_bytes + ops->deca_value_bytes) {
+  CheckPowerOfTwo(initial_capacity);
   DECA_CHECK_GT(ops->deca_key_bytes, 0u)
       << "Deca shuffle requires SFST keys/values";
 }
@@ -214,18 +228,20 @@ DecaHashShuffleBuffer::DecaHashShuffleBuffer(jvm::Heap* heap,
 void DecaHashShuffleBuffer::Insert(const uint8_t* key, const uint8_t* value) {
   if ((size_ + 1) * 10 > slots_.size() * 7) Grow();
   uint64_t h = ops_->deca_key_hash(key);
-  for (size_t probe = 0;; ++probe) {
-    size_t i = (h + probe) % slots_.size();
-    if (slots_[i] == kEmpty) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.seg == kEmpty) {
       core::SegPtr seg = pages_->Append(entry_bytes_);
       uint8_t* p = pages_->Resolve(seg);
       std::memcpy(p, key, ops_->deca_key_bytes);
       std::memcpy(p + ops_->deca_key_bytes, value, ops_->deca_value_bytes);
-      slots_[i] = seg;
+      slot = {h, seg};
       ++size_;
       return;
     }
-    uint8_t* p = pages_->Resolve(slots_[i]);
+    if (slot.hash != h) continue;
+    uint8_t* p = pages_->Resolve(slot.seg);
     if (std::memcmp(p, key, ops_->deca_key_bytes) == 0) {
       // In-place combining: the aggregate's page segment is reused
       // (paper Section 4.3.2) — no allocation, nothing for the GC.
@@ -236,32 +252,28 @@ void DecaHashShuffleBuffer::Insert(const uint8_t* key, const uint8_t* value) {
 }
 
 void DecaHashShuffleBuffer::Grow() {
-  std::vector<core::SegPtr> fresh(slots_.size() * 2, kEmpty);
-  for (core::SegPtr s : slots_) {
-    if (s == kEmpty) continue;
-    uint64_t h = ops_->deca_key_hash(pages_->Resolve(s));
-    for (size_t probe = 0;; ++probe) {
-      size_t j = (h + probe) % fresh.size();
-      if (fresh[j] == kEmpty) {
-        fresh[j] = s;
-        break;
-      }
-    }
+  std::vector<Slot> fresh(slots_.size() * 2);
+  size_t mask = fresh.size() - 1;
+  for (const Slot& s : slots_) {
+    if (s.seg == kEmpty) continue;
+    size_t j = s.hash & mask;
+    while (fresh[j].seg != kEmpty) j = (j + 1) & mask;
+    fresh[j] = s;
   }
   slots_.swap(fresh);
 }
 
 void DecaHashShuffleBuffer::ForEach(
     const std::function<void(const uint8_t*)>& fn) const {
-  for (core::SegPtr s : slots_) {
-    if (s == kEmpty) continue;
-    fn(pages_->Resolve(s));
+  for (const Slot& s : slots_) {
+    if (s.seg == kEmpty) continue;
+    fn(pages_->Resolve(s.seg));
   }
 }
 
 void DecaHashShuffleBuffer::Clear() {
   pages_ = std::make_shared<core::PageGroup>(heap_, pages_->page_bytes());
-  slots_.assign(64, kEmpty);
+  slots_.assign(64, Slot{});
   size_ = 0;
 }
 
@@ -271,6 +283,7 @@ ObjectGroupByBuffer::ObjectGroupByBuffer(jvm::Heap* heap,
                                          const ShuffleOps* ops,
                                          uint32_t initial_capacity)
     : heap_(heap), ops_(ops), capacity_(initial_capacity) {
+  CheckPowerOfTwo(initial_capacity);
   // Allocate before registering the root provider (see
   // ObjectHashShuffleBuffer): an OOM here must not leave a dangling root.
   jvm::HandleScope scope(heap_);
@@ -295,7 +308,7 @@ void ObjectGroupByBuffer::Insert(jvm::ObjRef key0, jvm::ObjRef value0) {
   if ((size_ + 1) * 10 > capacity_ * 7) Grow();
   uint64_t h = ops_->key_hash(heap_, hk.get());
   for (uint32_t probe = 0;; ++probe) {
-    uint32_t i = static_cast<uint32_t>((h + probe) % capacity_);
+    uint32_t i = static_cast<uint32_t>((h + probe) & (capacity_ - 1));
     jvm::ObjRef k = heap_->GetRefElem(keys(), i);
     if (k == jvm::kNullRef) {
       jvm::ObjRef arr =
@@ -350,7 +363,7 @@ void ObjectGroupByBuffer::Grow() {
     if (k == jvm::kNullRef) continue;
     uint64_t h = ops_->key_hash(heap_, k);
     for (uint32_t probe = 0;; ++probe) {
-      uint32_t j = static_cast<uint32_t>((h + probe) % new_capacity);
+      uint32_t j = static_cast<uint32_t>((h + probe) & (new_capacity - 1));
       if (heap_->GetRefElem(new_keys, j) == jvm::kNullRef) {
         heap_->SetRefElem(new_keys, j, k);
         heap_->SetRefElem(new_vals, j, heap_->GetRefElem(old_vals, i));
@@ -379,6 +392,7 @@ DecaStaticHashShuffleBuffer::DecaStaticHashShuffleBuffer(
     jvm::Heap* heap, const ShuffleOps* ops, uint32_t page_bytes,
     uint32_t initial_capacity)
     : heap_(heap), ops_(ops), page_bytes_(page_bytes) {
+  CheckPowerOfTwo(initial_capacity);
   DECA_CHECK_GT(ops->deca_key_bytes, 0u);
   slot_bytes_ = static_cast<uint32_t>(
       AlignUp(1 + ops->deca_key_bytes + ops->deca_value_bytes, 8));
@@ -405,7 +419,7 @@ void DecaStaticHashShuffleBuffer::Insert(const uint8_t* key,
   if ((size_ + 1) * 10 > capacity_ * 7) Grow();
   uint64_t h = ops_->deca_key_hash(key);
   for (uint32_t probe = 0;; ++probe) {
-    uint32_t i = static_cast<uint32_t>((h + probe) % capacity_);
+    uint32_t i = static_cast<uint32_t>((h + probe) & (capacity_ - 1));
     uint8_t* slot = Slot(i);
     if (slot[0] == 0) {
       slot[0] = 1;
@@ -434,7 +448,7 @@ void DecaStaticHashShuffleBuffer::Grow() {
     if (slot[0] == 0) continue;
     uint64_t h = ops_->deca_key_hash(slot + 1);
     for (uint32_t probe = 0;; ++probe) {
-      uint32_t j = static_cast<uint32_t>((h + probe) % capacity_);
+      uint32_t j = static_cast<uint32_t>((h + probe) & (capacity_ - 1));
       uint8_t* dst = Slot(j);
       if (dst[0] == 0) {
         std::memcpy(dst, slot, slot_bytes_);

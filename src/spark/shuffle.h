@@ -155,6 +155,13 @@ class ObjectHashShuffleBuffer {
 /// values live as fixed-size segments in a page group; a native pointer
 /// array indexes them (paper Figure 6b). Combining reuses the aggregate's
 /// page segment in place — no allocation, no dead value objects.
+///
+/// Each slot carries the key's full 64-bit hash next to its segment
+/// pointer, so a probe resolves the segment and compares key bytes only
+/// when the hashes match, and Grow rehashes from the stored hash alone.
+/// Slot placement (index `hash & mask`, linear probing, the same growth
+/// rule and rehash order) is exactly ObjectHashShuffleBuffer's, so given
+/// equal key hashes both buffers iterate their keys in the same order.
 class DecaHashShuffleBuffer {
  public:
   DecaHashShuffleBuffer(jvm::Heap* heap, const ShuffleOps* ops,
@@ -176,12 +183,16 @@ class DecaHashShuffleBuffer {
 
  private:
   static constexpr core::SegPtr kEmpty{UINT32_MAX, UINT32_MAX};
+  struct Slot {
+    uint64_t hash = 0;
+    core::SegPtr seg = kEmpty;
+  };
   void Grow();
 
   jvm::Heap* heap_;
   const ShuffleOps* ops_;
   std::shared_ptr<core::PageGroup> pages_;
-  std::vector<core::SegPtr> slots_;  // native pointer array
+  std::vector<Slot> slots_;  // native pointer array, power-of-two size
   uint32_t size_ = 0;
   uint32_t entry_bytes_;
 };
