@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
 #include "obs/trace.h"
@@ -251,6 +252,7 @@ void BM_FullGcPauseVsLiveObjects(benchmark::State& state) {
   for (auto _ : state) {
     f.heap->CollectFull();
   }
+  f.heap->Verify();
   f.heap->RemoveRootProvider(&roots);
   state.counters["live_objects"] = 3.0 * n;
 }
@@ -258,6 +260,80 @@ BENCHMARK(BM_FullGcPauseVsLiveObjects)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Full GC over LR's cached shape: blocks of 1024 LabeledPoints, each a
+/// ref array built in eden and promoted by a minor GC, so every parent's
+/// refs point forward to its children. A layer of promoted garbage sits
+/// above the blocks in every iteration (rebuilt outside the timed region),
+/// so each collection slides nothing inside the blocks and compacts the
+/// garbage away. Checks the heap and every point's payload afterwards and
+/// aborts on a mismatch.
+void BM_FullGcCachedBlocks(benchmark::State& state) {
+  constexpr uint32_t kPointsPerBlock = 1024;
+  constexpr uint32_t kGarbageBlocks = 16;
+  const int blocks = static_cast<int>(state.range(0));
+  jvm::ClassRegistry registry;
+  LrTypes types(&registry, kDims);
+  jvm::HeapConfig cfg;
+  cfg.heap_bytes = 160u << 20;
+  cfg.tenure_threshold = 1;  // one minor GC promotes a whole block
+  jvm::Heap heap(cfg, &registry);
+  jvm::VectorRootProvider roots;
+  heap.AddRootProvider(&roots);
+  Rng rng(9);
+  double feats[kDims];
+  double checksum = 0;
+  auto build_block = [&](bool keep) {
+    jvm::HandleScope scope(&heap);
+    jvm::Handle arr = scope.Make(heap.AllocateArray(
+        registry.ref_array_class(), kPointsPerBlock));
+    for (uint32_t i = 0; i < kPointsPerBlock; ++i) {
+      jvm::HandleScope inner(&heap);
+      for (auto& v : feats) v = rng.NextDouble();
+      double label = static_cast<double>(i);
+      if (keep) {
+        checksum += label;
+        for (double v : feats) checksum += v;
+      }
+      heap.SetRefElem(arr.get(), i,
+                      types.NewLabeledPoint(&heap, label, feats));
+    }
+    roots.refs().push_back(arr.get());
+  };
+  for (int b = 0; b < blocks; ++b) {
+    build_block(/*keep=*/true);
+    heap.CollectMinor();
+  }
+  const size_t live_roots = roots.refs().size();
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (uint32_t g = 0; g < kGarbageBlocks; ++g) build_block(false);
+    heap.CollectMinor();
+    roots.refs().resize(live_roots);
+    state.ResumeTiming();
+    heap.CollectFull();
+  }
+  heap.Verify();
+  std::vector<uint8_t> rec(8 + 8 * kDims);
+  double seen = 0;
+  for (size_t b = 0; b < live_roots; ++b) {
+    for (uint32_t i = 0; i < kPointsPerBlock; ++i) {
+      types.ops().decompose(&heap, heap.GetRefElem(roots.refs()[b], i),
+                            rec.data());
+      for (int k = 0; k <= kDims; ++k) {
+        seen += LoadRaw<double>(rec.data() + 8 * k);
+      }
+    }
+  }
+  heap.RemoveRootProvider(&roots);
+  DECA_CHECK(seen == checksum) << "cached points corrupted by a full GC";
+  state.counters["live_objects"] =
+      static_cast<double>(blocks) * (1 + 3.0 * kPointsPerBlock);
+}
+BENCHMARK(BM_FullGcCachedBlocks)
+    ->Arg(32)
+    ->Arg(320)
     ->Unit(benchmark::kMicrosecond);
 
 /// Same live data held as decomposed pages: the GC traces only the pages.
@@ -269,6 +345,7 @@ void BM_FullGcPauseVsLivePages(benchmark::State& state) {
   for (auto _ : state) {
     f.heap->CollectFull();
   }
+  f.heap->Verify();
   state.counters["pages"] = static_cast<double>(pages.page_count());
 }
 BENCHMARK(BM_FullGcPauseVsLivePages)

@@ -121,9 +121,8 @@ bool GenCollectorBase::PromotionGuaranteeHolds() const {
   return OldFreeBytes() >= young_used_bytes();
 }
 
-void GenCollectorBase::WalkRange(
-    uint8_t* begin, uint8_t* top,
-    const std::function<void(ObjRef)>& fn) const {
+template <typename F>
+void GenCollectorBase::WalkRange(uint8_t* begin, uint8_t* top, F&& fn) const {
   uint8_t* p = begin;
   while (p < top) {
     ObjRef r = heap_->RefOf(p);
@@ -133,12 +132,17 @@ void GenCollectorBase::WalkRange(
   }
 }
 
-void GenCollectorBase::ForEachObject(
-    const std::function<void(ObjRef)>& fn) const {
-  WalkRange(old_begin_, old_top_, fn);
+template <typename F>
+void GenCollectorBase::WalkSpaces(uint8_t* old_from, F&& fn) const {
+  WalkRange(old_from, old_top_, fn);
   WalkRange(eden_alloc_begin_, eden_top_, fn);
   WalkRange(sur_begin_[0], sur_top_[0], fn);
   WalkRange(sur_begin_[1], sur_top_[1], fn);
+}
+
+void GenCollectorBase::ForEachObject(
+    const std::function<void(ObjRef)>& fn) const {
+  WalkSpaces(old_begin_, fn);
 }
 
 // -- minor collection -------------------------------------------------------
@@ -306,18 +310,77 @@ size_t GenCollectorBase::MarkAll(uint64_t epoch) {
   return live;
 }
 
+uint8_t* GenCollectorBase::SweepDensePrefix(uint64_t epoch, uint64_t* bytes) {
+  prefix_runs_.clear();
+  uint8_t* p = old_begin_;
+  while (p < old_top_) {
+    ObjRef r = heap_->RefOf(p);
+    uint32_t& meta = heap_->MetaOf(r);
+    // A free chunk or a dead object is the first gap; an object with
+    // allocator slack is the last one that keeps its address.
+    if (MetaClassId(meta) == 0 || (meta & kSlack8Bit) != 0) break;
+    uint64_t& gw = heap_->GcWordOf(r);
+    if (!GcIsMarkedIn(gw, epoch)) break;
+    ObjRef farthest = r;
+    heap_->VisitRefSlots(r, [&](ObjRef* s) {
+      farthest = std::max(farthest, *s);
+    });
+    uint32_t size = heap_->ObjectBytes(r);
+    if (farthest > r) {
+      if (prefix_runs_.size() == kPrefixRunCapacity) ShrinkPrefixRuns(r);
+      prefix_runs_.push_back({r, heap_->RefOf(p + size), farthest});
+    }
+    gw = 0;
+    meta &= ~kInRemsetBit;
+    *bytes += size;
+    p += size;
+  }
+  return p;
+}
+
+void GenCollectorBase::ShrinkPrefixRuns(ObjRef swept) {
+  // Everything below `swept` is prefix: runs whose farthest target the
+  // sweep has reached need no update.
+  prefix_runs_.erase(
+      std::remove_if(prefix_runs_.begin(), prefix_runs_.end(),
+                     [swept](const PrefixRun& run) {
+                       return run.farthest <= swept;
+                     }),
+      prefix_runs_.end());
+  if (prefix_runs_.size() <= kPrefixRunCapacity / 2) return;
+  // Still crowded: merge neighbours. A merged run also covers the objects
+  // between the two, which pass 2 then re-walks for nothing.
+  size_t n = 0;
+  for (size_t i = 0; i < prefix_runs_.size(); i += 2) {
+    PrefixRun run = prefix_runs_[i];
+    if (i + 1 < prefix_runs_.size()) {
+      run.end = prefix_runs_[i + 1].end;
+      run.farthest = std::max(run.farthest, prefix_runs_[i + 1].farthest);
+    }
+    prefix_runs_[n++] = run;
+  }
+  prefix_runs_.resize(n);
+}
+
 void GenCollectorBase::CompactAll(uint64_t epoch) {
   GcStats& st = heap_->mutable_stats();
-  auto walk_all = [&](const std::function<void(ObjRef)>& fn) {
-    WalkRange(old_begin_, old_top_, fn);
-    WalkRange(eden_alloc_begin_, eden_top_, fn);
-    WalkRange(sur_begin_[0], sur_top_[0], fn);
-    WalkRange(sur_begin_[1], sur_top_[1], fn);
+
+  // Dense prefix: the leading run of live old objects slides onto itself,
+  // so it gets no forwarding address and is not moved (HotSpot's PS full
+  // GC skips it the same way). Its headers end as the slide leaves them.
+  // The prefix counts towards bytes_copied as the plain slide counted it.
+  uint64_t moved = 0;
+  uint8_t* prefix_end = SweepDensePrefix(epoch, &moved);
+  // Slots into the prefix keep their value; only targets at or past its
+  // end carry a forwarding address (null is below every object).
+  const ObjRef first_moving = heap_->RefOf(prefix_end);
+  auto forward = [&](ObjRef* s) {
+    if (*s >= first_moving) *s = GcForwardRef(heap_->GcWordOf(*s));
   };
 
-  // Pass 1: compute forwarding addresses (slide towards old_begin_).
-  uint8_t* target = old_begin_;
-  walk_all([&](ObjRef r) {
+  // Pass 1: compute forwarding addresses (slide towards the prefix end).
+  uint8_t* target = prefix_end;
+  WalkSpaces(prefix_end, [&](ObjRef r) {
     uint64_t& gw = heap_->GcWordOf(r);
     if (!GcIsMarkedIn(gw, epoch)) return;
     uint32_t size = heap_->ObjectBytes(r);
@@ -328,20 +391,22 @@ void GenCollectorBase::CompactAll(uint64_t epoch) {
                 static_cast<const void*>(sur_begin_[0]))
       << "live data exceeds heap capacity during full GC";
 
-  // Pass 2: update all reference slots (roots + live objects).
-  heap_->VisitRoots(
-      [&](ObjRef* s) { *s = GcForwardRef(heap_->GcWordOf(*s)); });
-  walk_all([&](ObjRef r) {
+  // Pass 2: update reference slots: roots, the prefix runs that may point
+  // past the prefix, and live objects past it.
+  heap_->VisitRoots(forward);
+  for (const PrefixRun& run : prefix_runs_) {
+    if (run.farthest < first_moving) continue;
+    WalkRange(heap_->Addr(run.begin), heap_->Addr(run.end),
+              [&](ObjRef r) { heap_->VisitRefSlots(r, forward); });
+  }
+  WalkSpaces(prefix_end, [&](ObjRef r) {
     if (!GcIsMarkedIn(heap_->GcWordOf(r), epoch)) return;
-    heap_->VisitRefSlots(r, [&](ObjRef* s) {
-      if (*s != kNullRef) *s = GcForwardRef(heap_->GcWordOf(*s));
-    });
+    heap_->VisitRefSlots(r, forward);
   });
 
   // Pass 3: slide objects to their new locations (ascending addresses, so
   // every destination is at or below its source).
-  size_t moved = 0;
-  walk_all([&](ObjRef r) {
+  WalkSpaces(prefix_end, [&](ObjRef r) {
     uint64_t gw = heap_->GcWordOf(r);
     if (!GcIsMarkedIn(gw, epoch)) return;
     uint32_t size = heap_->ObjectBytes(r);

@@ -36,6 +36,10 @@ class GenCollectorBase : public Collector {
     return s;
   }
 
+  /// Capacity of the dense-prefix run list (see CompactAll). Exposed for
+  /// tests.
+  static constexpr size_t kPrefixRunCapacity = 4096;
+
   // Exposed for tests.
   size_t eden_capacity() const {
     return static_cast<size_t>(eden_end_ - eden_alloc_begin_);
@@ -75,6 +79,10 @@ class GenCollectorBase : public Collector {
   /// Global sliding compaction of all spaces into the start of the old
   /// generation (Lisp-2). Requires MarkAll(epoch) to have run. After the
   /// call the heap is dense in [old_begin, old_top_) and young is empty.
+  /// The leading run of live old objects (the dense prefix) slides onto
+  /// itself: one sweep resets it, and the three Lisp-2 passes start at its
+  /// end. Pass 2 reaches back into the prefix only for the runs that may
+  /// point past it.
   void CompactAll(uint64_t epoch);
 
   /// Copying collection of the young generation. `guarantee_checked` must
@@ -96,8 +104,16 @@ class GenCollectorBase : public Collector {
 
   size_t young_used_bytes() const;
 
-  void WalkRange(uint8_t* begin, uint8_t* top,
-                 const std::function<void(ObjRef)>& fn) const;
+  /// Calls `fn(ObjRef)` for every object in [begin, top) in address
+  /// order, skipping free chunks. The step is read before `fn` runs, so
+  /// `fn` may slide the object to a lower address.
+  template <typename F>
+  void WalkRange(uint8_t* begin, uint8_t* top, F&& fn) const;
+
+  /// WalkRange over the old generation from `old_from`, then eden and both
+  /// survivors.
+  template <typename F>
+  void WalkSpaces(uint8_t* old_from, F&& fn) const;
 
   Heap* heap_;
   HeapConfig cfg_;
@@ -133,6 +149,28 @@ class GenCollectorBase : public Collector {
   void EvacuateSlot(ObjRef* slot, EvacuationState* st);
   void ScanObject(ObjRef owner, EvacuationState* st);
   void RecomputeEdenAfterCompact();
+
+  /// Prefix objects [begin, end) whose ref slots may point past
+  /// themselves, and the farthest such target. A run starts as one object;
+  /// runs merge when the list is crowded.
+  struct PrefixRun {
+    ObjRef begin;
+    ObjRef end;
+    ObjRef farthest;
+  };
+
+  /// Sweeps the dense prefix of a compaction at `epoch` and returns its
+  /// end. Resets each prefix object's header as the slide would, adds its
+  /// size to `*bytes`, and leaves in prefix_runs_ every prefix object that
+  /// may point past the prefix.
+  uint8_t* SweepDensePrefix(uint64_t epoch, uint64_t* bytes);
+
+  /// Makes room in the full run list while the sweep stands at `swept`:
+  /// drops runs whose targets all lie below it, then, if more than half
+  /// are left, merges neighbouring runs pairwise.
+  void ShrinkPrefixRuns(ObjRef swept);
+
+  std::vector<PrefixRun> prefix_runs_;  // bounded by kPrefixRunCapacity
 };
 
 /// Hotspot's default throughput collector: bump-pointer old generation,

@@ -38,8 +38,7 @@ void MemoryReservation::Release() {
 ExecutorMemoryManager::ExecutorMemoryManager(uint64_t total_bytes,
                                              double storage_fraction)
     : total_(total_bytes),
-      floor_(static_cast<uint64_t>(static_cast<double>(total_bytes) *
-                                   storage_fraction)) {
+      floor_(StorageFloorBytes(total_bytes, storage_fraction)) {
   DECA_CHECK_GE(storage_fraction, 0.0);
   DECA_CHECK_LE(storage_fraction, 1.0);
 }

@@ -191,6 +191,19 @@ class ExecutorMemoryManager {
 
   uint64_t total_bytes() const { return total_; }
   uint64_t storage_floor_bytes() const { return floor_; }
+
+  /// The pool split of a `total_bytes` budget without a manager (config
+  /// sizing, standalone caches): the same numbers the manager's floor and
+  /// execution region hold.
+  static uint64_t StorageFloorBytes(uint64_t total_bytes,
+                                    double storage_fraction) {
+    return static_cast<uint64_t>(static_cast<double>(total_bytes) *
+                                 storage_fraction);
+  }
+  static uint64_t ExecutionRegionBytes(uint64_t total_bytes,
+                                       double storage_fraction) {
+    return total_bytes - StorageFloorBytes(total_bytes, storage_fraction);
+  }
   uint64_t exec_used() const {
     return exec_pages_.load(std::memory_order_relaxed) +
            exec_reserved_.load(std::memory_order_relaxed);

@@ -69,7 +69,10 @@ CacheManager::CacheManager(jvm::Heap* heap, const SparkConfig* config,
           config->t1_fraction *
           static_cast<double>(heap->memory_manager() != nullptr
                                   ? heap->memory_manager()->total_bytes()
-                                  : config->storage_budget_bytes()))),
+                                  : memory::ExecutorMemoryManager::
+                                        StorageFloorBytes(
+                                            config->executor_memory(),
+                                            config->storage_fraction)))),
       t1_(heap->memory_manager()),
       t2_(config->spill_dir, executor_id, heap->page_allocator()) {
   heap_->AddRootProvider(this);
@@ -544,8 +547,10 @@ void CacheManager::EnforceBudget(TaskMetrics* metrics,
     }
     return;
   }
-  // No manager (standalone cache in tests): legacy fixed budget.
-  size_t budget = cfg_->storage_budget_bytes();
+  // No manager (standalone cache in tests): the storage floor is a fixed
+  // budget.
+  const uint64_t budget = memory::ExecutorMemoryManager::StorageFloorBytes(
+      cfg_->executor_memory(), cfg_->storage_fraction);
   while (memory_bytes_ > budget) {
     if (cfg_->t1_enabled() && DemoteLru(metrics, exclude) > 0) continue;
     if (!SwapOutLru(metrics, exclude)) return;  // nothing left to evict

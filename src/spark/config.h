@@ -198,21 +198,6 @@ struct SparkConfig {
     return static_cast<size_t>(static_cast<double>(heap.heap_bytes) *
                                memory_fraction);
   }
-
-  /// Deprecated alias: the storage pool's floor within executor_memory().
-  /// Pre-unification this was a hard cache budget; it now only bounds how
-  /// far the execution pool can evict storage. Kept for callers that sized
-  /// flush thresholds off it (same default numerics).
-  size_t storage_budget_bytes() const {
-    return static_cast<size_t>(static_cast<double>(executor_memory()) *
-                               storage_fraction);
-  }
-  /// Deprecated alias: the execution region (executor_memory() minus the
-  /// storage floor). Pre-unification this was a hard shuffle budget.
-  size_t shuffle_budget_bytes() const {
-    return static_cast<size_t>(static_cast<double>(executor_memory()) *
-                               (1.0 - storage_fraction));
-  }
 };
 
 }  // namespace deca::spark

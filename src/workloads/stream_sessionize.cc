@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/page.h"
+#include "memory/memory_manager.h"
 #include "spark/shuffle.h"
 #include "workloads/stream_common.h"
 
@@ -176,7 +177,9 @@ StreamResult RunStreamSessionize(const StreamParams& params) {
   const uint64_t per_part =
       std::max<uint64_t>(1, params.records_per_epoch /
                                 static_cast<uint64_t>(parts));
-  const size_t shuffle_budget = cfg.shuffle_budget_bytes();
+  const size_t shuffle_budget =
+      memory::ExecutorMemoryManager::ExecutionRegionBytes(
+          cfg.executor_memory(), cfg.storage_fraction);
   DECA_CHECK_LE(params.stream.window, kStreamRddSlots);
 
   StreamResult result;

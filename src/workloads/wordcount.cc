@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "jvm/heap_profiler.h"
+#include "memory/memory_manager.h"
 #include "spark/shuffle.h"
 #include "workloads/dist_entry.h"
 
@@ -171,7 +172,8 @@ WordCountResult RunWordCount(const WordCountParams& params) {
   int parts = ctx.num_partitions();
   uint64_t per_part = params.total_words / static_cast<uint64_t>(parts);
   int shuffle_id = ctx.shuffle()->RegisterShuffle(parts);
-  size_t shuffle_budget = cfg.shuffle_budget_bytes();
+  size_t shuffle_budget = memory::ExecutorMemoryManager::ExecutionRegionBytes(
+      cfg.executor_memory(), cfg.storage_fraction);
 
   std::unique_ptr<jvm::HeapProfiler> profiler;
   if (profile) {
