@@ -56,13 +56,14 @@ inline bool& TraceRequested() {
   return v;
 }
 
-/// Prints the effective engine configuration once per process, so a bench
-/// log always records which knobs (env or default) produced its numbers.
-inline void PrintEffectiveConfigOnce(const spark::SparkConfig& cfg) {
-  static bool printed = false;
-  if (printed) return;
-  printed = true;
-  std::printf(
+/// Prints the effective engine configuration whenever it differs from the
+/// last one printed, so a bench log records which knobs (env or default)
+/// produced each block of its numbers.
+inline void PrintEffectiveConfig(const spark::SparkConfig& cfg) {
+  static std::string last;
+  char line[256];
+  std::snprintf(
+      line, sizeof(line),
       "config: executors=%d threads=%d heap=%zuMB executor_memory=%zuMB "
       "storage_fraction=%.2f page=%uKB transport=%s dist=%s\n",
       cfg.num_executors, cfg.num_worker_threads, cfg.heap.heap_bytes >> 20,
@@ -70,29 +71,39 @@ inline void PrintEffectiveConfigOnce(const spark::SparkConfig& cfg) {
       cfg.deca_page_bytes >> 10,
       spark::ShuffleTransportName(cfg.shuffle_transport),
       spark::DistModeName(cfg.dist_mode));
+  std::string text = line;
   if (cfg.dist_mode == spark::DistMode::kProcess) {
-    std::printf(
+    std::snprintf(
+        line, sizeof(line),
         "cluster: heartbeat=%dms miss_threshold=%d probes=%d "
         "backoff=%dms rpc_deadline=%dms\n",
         cfg.cluster.heartbeat_interval_ms, cfg.cluster.heartbeat_miss_threshold,
         cfg.cluster.reconnect_probes, cfg.cluster.retry_backoff_base_ms,
         cfg.cluster.rpc_deadline_ms);
+    text += line;
   }
   if (cfg.t1_enabled()) {
-    std::printf("tiers: storage_tiers=%d t1_fraction=%.2f admit=%s\n",
-                cfg.storage_tiers, cfg.t1_fraction,
-                spark::AdmitPolicyName(cfg.admit_policy));
+    std::snprintf(line, sizeof(line),
+                  "tiers: storage_tiers=%d t1_fraction=%.2f admit=%s\n",
+                  cfg.storage_tiers, cfg.t1_fraction,
+                  spark::AdmitPolicyName(cfg.admit_policy));
+    text += line;
   }
   if (cfg.heap.pause_budget_ms > 0 ||
       cfg.lifetime_source != spark::LifetimeSource::kStatic) {
-    std::printf("gc: pause_budget=%.2fms lifetime_source=%s\n",
-                cfg.heap.pause_budget_ms,
-                spark::LifetimeSourceName(cfg.lifetime_source));
+    std::snprintf(line, sizeof(line),
+                  "gc: pause_budget=%.2fms lifetime_source=%s\n",
+                  cfg.heap.pause_budget_ms,
+                  spark::LifetimeSourceName(cfg.lifetime_source));
+    text += line;
   }
+  if (text == last) return;
+  last = text;
+  std::fputs(text.c_str(), stdout);
 }
 
 /// Prints the effective stream plan once per process (effective-config
-/// banner companion of PrintEffectiveConfigOnce).
+/// banner companion of PrintEffectiveConfig).
 inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
   static bool printed = false;
   if (printed) return;
@@ -117,7 +128,8 @@ inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
 ///   DECA_EXECUTOR_MEMORY=MB unified per-executor memory budget
 ///                           (default 0 = heap * memory_fraction)
 ///   DECA_STORAGE_FRACTION=F storage-pool floor share of the budget
-///                           (default 0.5)
+///                           (default: the bench's `storage_fraction`
+///                           argument, 0.5 unless the bench passes one)
 ///
 /// Deterministic fault injection (default off; numbers are unchanged and
 /// no retry counters increment unless one of these is set):
@@ -170,7 +182,9 @@ inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
 ///                            profiled-calibration sampling period in
 ///                            allocated bytes (default 512)
 ///   DECA_PROFILE_SEED=N      profiler sampling seed (default 1)
-inline spark::SparkConfig DefaultSpark(size_t heap_mb = 64) {
+inline spark::SparkConfig DefaultSpark(
+    size_t heap_mb = 64,
+    double storage_fraction = spark::SparkConfig().storage_fraction) {
   spark::SparkConfig cfg;
   cfg.partitions_per_executor = 2;
   cfg.num_executors = EnvInt("DECA_EXECUTORS", 2);
@@ -192,8 +206,7 @@ inline spark::SparkConfig DefaultSpark(size_t heap_mb = 64) {
   cfg.memory_fraction = 0.75;
   cfg.executor_memory_bytes =
       static_cast<size_t>(EnvU64("DECA_EXECUTOR_MEMORY", 0)) << 20;
-  cfg.storage_fraction =
-      EnvDouble("DECA_STORAGE_FRACTION", cfg.storage_fraction);
+  cfg.storage_fraction = EnvDouble("DECA_STORAGE_FRACTION", storage_fraction);
   std::string transport = EnvStr("DECA_SHUFFLE_TRANSPORT", "local");
   if (transport == "network" || transport == "loopback") {
     cfg.shuffle_transport = spark::ShuffleTransport::kLoopback;
@@ -258,7 +271,7 @@ inline spark::SparkConfig DefaultSpark(size_t heap_mb = 64) {
   cfg.trace_enabled = TraceRequested() || EnvInt("DECA_TRACE", 0, 1) > 0;
   cfg.trace_ring_capacity =
       static_cast<uint32_t>(EnvU64("DECA_TRACE_RING", 1u << 15));
-  PrintEffectiveConfigOnce(cfg);
+  PrintEffectiveConfig(cfg);
   return cfg;
 }
 
@@ -419,25 +432,15 @@ class BenchReport {
            static_cast<double>(r.cluster.rpc_messages));
     }
     if (r.tier_active) {
-      // Storage-tier plane (schema v3), present only when
-      // DECA_STORAGE_TIER=3 enabled the serialized off-heap tier. The
-      // resident/hit/demote counters are deterministic; promote
-      // percentiles are wall times.
-      run.tier.present = true;
-      run.tier.t0_resident_bytes = r.tier.t0_resident_bytes;
-      run.tier.t1_resident_bytes = r.tier.t1_resident_bytes;
-      run.tier.t2_resident_bytes = r.tier.t2_resident_bytes;
-      run.tier.t1_peak_bytes = r.tier.t1_peak_bytes;
-      run.tier.t0_hits = r.tier.t0_hits;
-      run.tier.t1_hits = r.tier.t1_hits;
-      run.tier.t2_hits = r.tier.t2_hits;
-      run.tier.misses = r.tier.misses;
-      run.tier.demotes_to_t1 = r.tier.demotes_to_t1;
-      run.tier.demotes_to_t2 = r.tier.demotes_to_t2;
-      run.tier.promotes = r.tier.promotes;
-      run.tier.admit_rejects = r.tier.admit_rejects;
-      run.tier.promote_p50_ms = r.tier.promote_p50_ms;
-      run.tier.promote_p99_ms = r.tier.promote_p99_ms;
+      // Storage-tier plane, present only when DECA_STORAGE_TIER=3 enabled
+      // the serialized off-heap tier. The resident/hit/demote counters are
+      // deterministic; promote percentiles are wall times.
+      exact("tier.t0_resident_bytes",
+            static_cast<double>(r.tier.t0_resident_bytes));
+      exact("tier.t1_resident_bytes",
+            static_cast<double>(r.tier.t1_resident_bytes));
+      exact("tier.t2_resident_bytes",
+            static_cast<double>(r.tier.t2_resident_bytes));
       exact("tier.t1_peak_bytes", static_cast<double>(r.tier.t1_peak_bytes));
       exact("tier.t0_hits", static_cast<double>(r.tier.t0_hits));
       exact("tier.t1_hits", static_cast<double>(r.tier.t1_hits));
@@ -454,15 +457,8 @@ class BenchReport {
       time("tier.promote_p99_ms", r.tier.promote_p99_ms);
     }
     if (r.epochs_run > 0) {
-      // Streaming plane (schema v2): typed epoch aggregate plus flat
-      // metrics. Like net.*, these are "extra" against batch baselines.
-      run.epochs.present = true;
-      run.epochs.epochs_run = r.epochs_run;
-      run.epochs.windows = r.windows_emitted;
-      run.epochs.reclaimed_bytes = r.epoch_reclaimed_bytes;
-      run.epochs.pause_p50_ms = r.epoch_pause_p50_ms;
-      run.epochs.pause_p99_ms = r.epoch_pause_p99_ms;
-      run.epochs.reclaim_p99_ms = r.epoch_reclaim_p99_ms;
+      // Streaming plane. Like net.*, these are "extra" against batch
+      // baselines.
       exact("epoch.epochs_run", static_cast<double>(r.epochs_run));
       exact("epoch.windows", static_cast<double>(r.windows_emitted));
       exact("epoch.reclaimed_bytes",
@@ -478,20 +474,11 @@ class BenchReport {
       time("epoch.reclaim_p99_ms", r.epoch_reclaim_p99_ms);
     }
     if (r.pauses.pause_events > 0 || r.pauses.mark_slices > 0) {
-      // GC pause plane (schema v4): typed aggregate plus flat metrics.
-      // mark_slices/pause_events are deterministic at the default
-      // DECA_PAUSE_BUDGET_MS=0 (one slice per monolithic mark); budgeted
-      // runs must be gated with report_diff --slo assertions rather than
-      // baseline diffs, since their slice counts are timing-dependent.
-      run.pauses.present = true;
-      run.pauses.mark_slices = r.pauses.mark_slices;
-      run.pauses.pause_events = r.pauses.pause_events;
-      run.pauses.pause_p50_ms = r.pauses.pause_p50_ms;
-      run.pauses.pause_p99_ms = r.pauses.pause_p99_ms;
-      run.pauses.pause_max_ms = r.pauses.pause_max_ms;
-      run.pauses.slice_p50_ms = r.pauses.slice_p50_ms;
-      run.pauses.slice_p99_ms = r.pauses.slice_p99_ms;
-      run.pauses.slice_max_ms = r.pauses.slice_max_ms;
+      // GC pause plane. mark_slices/pause_events are deterministic at the
+      // default DECA_PAUSE_BUDGET_MS=0 (one slice per monolithic mark);
+      // budgeted runs must be gated with report_diff --slo assertions
+      // rather than baseline diffs, since their slice counts are
+      // timing-dependent.
       exact("pauses.mark_slices",
             static_cast<double>(r.pauses.mark_slices));
       exact("pauses.events", static_cast<double>(r.pauses.pause_events));
@@ -503,12 +490,8 @@ class BenchReport {
       time("pauses.slice_max_ms", r.pauses.slice_max_ms);
     }
     if (r.alloc_active) {
-      // Native-allocator plane (schema v5). The call/byte counters are
-      // driven purely by engine call sites, so they are exact.
-      run.alloc.present = true;
-      run.alloc.alloc_calls = r.alloc.alloc_calls;
-      run.alloc.free_calls = r.alloc.free_calls;
-      run.alloc.bytes_requested = r.alloc.bytes_requested;
+      // Native-allocator plane. The call/byte counters are driven purely
+      // by engine call sites, so they are exact.
       exact("alloc.allocs", static_cast<double>(r.alloc.alloc_calls));
       exact("alloc.frees", static_cast<double>(r.alloc.free_calls));
       exact("alloc.bytes_requested",

@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
       p.num_points = pts;
       p.iterations = 10;
       p.mode = mode;
-      p.spark = DefaultSpark();
-      p.spark.storage_fraction = 0.9;
+      p.spark = DefaultSpark(64, 0.9);
       p.spark.deca_page_bytes = 256u << 10;  // fit 32KB records comfortably
       LrResult r = RunLogisticRegression(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
@@ -50,8 +49,7 @@ int main(int argc, char** argv) {
       p.num_points = pts;
       p.iterations = 5;
       p.mode = mode;
-      p.spark = DefaultSpark();
-      p.spark.storage_fraction = 0.9;
+      p.spark = DefaultSpark(64, 0.9);
       p.spark.deca_page_bytes = 256u << 10;
       KMeansResult r = RunKMeans(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;

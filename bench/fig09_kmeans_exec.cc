@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
       p.num_points = pts;
       p.iterations = 8;
       p.mode = mode;
-      p.spark = DefaultSpark();
-      p.spark.storage_fraction = 0.8;
+      p.spark = DefaultSpark(64, 0.8);
       LrResult dummy;  // (unused; kept for symmetry with fig09_lr_exec)
       (void)dummy;
       KMeansResult r = RunKMeans(p);

@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
       p.num_points = pts;
       p.iterations = 10;
       p.mode = mode;
-      p.spark = DefaultSpark();
-      p.spark.storage_fraction = 0.9;
+      p.spark = DefaultSpark(64, 0.9);
       LrResult r = RunLogisticRegression(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::to_string(pts) + "pts/" + ModeName(mode), r.run);

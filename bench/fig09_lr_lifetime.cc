@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   p.dims = 10;
   p.num_points = 480'000;
   p.iterations = 15;
-  p.spark = DefaultSpark();
-  p.spark.storage_fraction = 0.9;
+  p.spark = DefaultSpark(64, 0.9);
   p.profile = true;
 
   for (Mode mode : {Mode::kSpark, Mode::kDeca}) {

@@ -30,9 +30,8 @@ int main(int argc, char** argv) {
       p.num_edges = g.e;
       p.iterations = 6;
       p.mode = mode;
-      p.spark = DefaultSpark();
+      p.spark = DefaultSpark(64, 0.4);
       p.spark.partitions_per_executor = 4;
-      p.spark.storage_fraction = 0.4;
       ConnectedComponentsResult r = RunConnectedComponents(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::string(g.name) + "/" + ModeName(mode), r.run);

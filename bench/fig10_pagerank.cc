@@ -34,9 +34,8 @@ int main(int argc, char** argv) {
       p.num_edges = g.e;
       p.iterations = 5;
       p.mode = mode;
-      p.spark = DefaultSpark();
+      p.spark = DefaultSpark(64, 0.4);  // paper: 40% caching, rest shuffle
       p.spark.partitions_per_executor = 4;
-      p.spark.storage_fraction = 0.4;  // paper: 40% caching, rest shuffle
       PageRankResult r = RunPageRank(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::string(g.name) + "/" + ModeName(mode), r.run);

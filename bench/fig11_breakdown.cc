@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
     p.num_points = Scaled(240'000);
     p.iterations = 10;
     p.mode = mode;
-    p.spark = DefaultSpark();
-    p.spark.storage_fraction = 0.9;
+    p.spark = DefaultSpark(64, 0.9);
     LrResult r = RunLogisticRegression(p);
     faults.Add(r.run);
     AddBreakdown(&t, "LR-small", ModeName(mode), r.run.slowest_task);
@@ -52,8 +51,7 @@ int main(int argc, char** argv) {
     p.num_points = Scaled(800'000);
     p.iterations = 10;
     p.mode = mode;
-    p.spark = DefaultSpark();
-    p.spark.storage_fraction = 0.9;
+    p.spark = DefaultSpark(64, 0.9);
     LrResult r = RunLogisticRegression(p);
     faults.Add(r.run);
     AddBreakdown(&t, "LR-large", ModeName(mode), r.run.slowest_task);
@@ -65,9 +63,8 @@ int main(int argc, char** argv) {
     p.num_edges = static_cast<uint32_t>(Scaled(1u << 21));
     p.iterations = 4;
     p.mode = mode;
-    p.spark = DefaultSpark();
+    p.spark = DefaultSpark(64, 0.4);
     p.spark.partitions_per_executor = 4;
-    p.spark.storage_fraction = 0.4;
     PageRankResult r = RunPageRank(p);
     faults.Add(r.run);
     AddBreakdown(&t, "PR", ModeName(mode), r.run.slowest_task);

@@ -5,8 +5,8 @@
 //   - time metrics may grow by at most --time-threshold (relative) AND
 //     --time-floor-ms (absolute slack, so micro-benches don't flap),
 //   - span counts are exact, span totals follow the time rule,
-//   - with --exact-only, only exact metrics and deterministic epoch
-//     counters are compared (time metrics and spans skipped) — for
+//   - with --exact-only, only exact metrics are compared (time metrics
+//     and spans skipped) — for
 //     diffing a DECA_DIST_MODE=process run against an in-process
 //     baseline, where timings and worker-side spans legitimately differ.
 //

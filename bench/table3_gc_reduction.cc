@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
     MlParams p;
     p.num_points = 640'000;
     p.iterations = 10;
-    p.spark = DefaultSpark();
-    p.spark.storage_fraction = 0.9;
+    p.spark = DefaultSpark(64, 0.9);
     p.mode = Mode::kSpark;
     LrResult s = RunLogisticRegression(p);
     p.mode = Mode::kDeca;
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
     MlParams p;
     p.num_points = 480'000;
     p.iterations = 8;
-    p.spark = DefaultSpark();
-    p.spark.storage_fraction = 0.8;
+    p.spark = DefaultSpark(64, 0.8);
     p.mode = Mode::kSpark;
     KMeansResult s = RunKMeans(p);
     p.mode = Mode::kDeca;
@@ -72,9 +70,8 @@ int main(int argc, char** argv) {
     p.num_vertices = 1u << 17;
     p.num_edges = 1u << 20;
     p.iterations = 5;
-    p.spark = DefaultSpark();
+    p.spark = DefaultSpark(64, 0.4);
     p.spark.partitions_per_executor = 4;
-    p.spark.storage_fraction = 0.4;
     p.mode = Mode::kSpark;
     PageRankResult s = RunPageRank(p);
     p.mode = Mode::kDeca;
@@ -86,9 +83,8 @@ int main(int argc, char** argv) {
     p.num_vertices = 1u << 17;
     p.num_edges = 1u << 20;
     p.iterations = 6;
-    p.spark = DefaultSpark();
+    p.spark = DefaultSpark(64, 0.4);
     p.spark.partitions_per_executor = 4;
-    p.spark.storage_fraction = 0.4;
     p.mode = Mode::kSpark;
     ConnectedComponentsResult s = RunConnectedComponents(p);
     p.mode = Mode::kDeca;

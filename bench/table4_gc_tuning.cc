@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
     p.num_points = 640'000;
     p.iterations = 10;
     p.mode = mode;
-    p.spark = DefaultSpark();
-    p.spark.storage_fraction = storage_fraction;
+    p.spark = DefaultSpark(64, storage_fraction);
     p.spark.heap.algorithm = algo;
     LrResult r = RunLogisticRegression(p);
     report.AddRun("LR/" + label, r.run);
@@ -42,8 +41,7 @@ int main(int argc, char** argv) {
     p.num_edges = 1u << 20;
     p.iterations = 5;
     p.mode = mode;
-    p.spark = DefaultSpark();
-    p.spark.storage_fraction = storage_fraction;
+    p.spark = DefaultSpark(64, storage_fraction);
     p.spark.heap.algorithm = algo;
     PageRankResult r = RunPageRank(p);
     report.AddRun("PR/" + label, r.run);

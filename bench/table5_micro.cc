@@ -27,10 +27,9 @@ int main(int argc, char** argv) {
       p.num_points = 120'000;
       p.iterations = 20;
       p.mode = mode;
-      p.spark = DefaultSpark(heap_mb);
+      p.spark = DefaultSpark(heap_mb, 0.9);
       p.spark.num_executors = 1;
       p.spark.partitions_per_executor = 1;
-      p.spark.storage_fraction = 0.9;
       LrResult r = RunLogisticRegression(p);
       report.AddRun("LR/" + std::to_string(heap_mb) + "MB/" + ModeName(mode),
                     r.run);
@@ -46,10 +45,9 @@ int main(int argc, char** argv) {
       p.num_edges = 1u << 19;  // Pokec-scale ratio (1.6M V / 30M E)
       p.iterations = 6;
       p.mode = mode;
-      p.spark = DefaultSpark(heap_mb);
+      p.spark = DefaultSpark(heap_mb, 0.4);
       p.spark.num_executors = 1;
       p.spark.partitions_per_executor = 1;
-      p.spark.storage_fraction = 0.4;
       PageRankResult r = RunPageRank(p);
       report.AddRun("PR/" + std::to_string(heap_mb) + "MB/" + ModeName(mode),
                     r.run);

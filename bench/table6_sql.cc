@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
     p.engine = engine;
     // Sized so even the object-form tables fully fit in memory, as in the
     // paper ("input tables are entirely cached in memory").
-    p.spark = DefaultSpark(128);
-    p.spark.storage_fraction = 0.9;
+    p.spark = DefaultSpark(128, 0.9);
     SqlResult r = RunSqlQueries(p);
     report.AddRun(SqlEngineName(engine), r.run);
     t.AddRow({"Q1", SqlEngineName(engine), Ms(r.q1_exec_ms), Ms(r.q1_gc_ms),

@@ -7,9 +7,15 @@
 # behaviour intentionally changed; wall-time drift alone is expected and
 # harmless (the gate's time threshold is loose).
 #
-# Reports are RunReport schema v5 (v4 files still parse): the `alloc`
-# aggregate records the allocator plane, and alloc.allocs / alloc.frees /
-# alloc.bytes_requested are deterministic (exact) metrics.
+# Reports are RunReport schema v6 (v1-v5 files still parse): per run,
+# flat metrics and span aggregates only. Every plane reports under a
+# dotted prefix (epoch.*, tier.*, pauses.*, alloc.*), each metric marked
+# exact (deterministic counter, bit-compared) or not (wall time).
+#
+# fig09_lr_exec_heap8.json is fig09_lr_exec again on 8 MB heaps
+# (DECA_HEAP_MB=8), where the Spark rows from 60k points on pass the
+# Fig. 9(b) knee: it is the one baseline whose exact counters cover
+# full GCs (PS compaction) and cache swapping.
 #
 #   ./bench/update_baselines.sh [build-dir]
 set -euo pipefail
@@ -41,5 +47,11 @@ for b in "${benches[@]}"; do
     "$build/bench/$b" > /dev/null
   "$build/bench/report_diff" --validate "$out/$b.json"
 done
+
+echo "== fig09_lr_exec (DECA_SCALE=8, DECA_HEAP_MB=8) =="
+DECA_SCALE=8 DECA_TRACE=1 DECA_SHUFFLE_TRANSPORT=local DECA_HEAP_MB=8 \
+  DECA_JSON_OUT="$out/fig09_lr_exec_heap8.json" \
+  "$build/bench/fig09_lr_exec" > /dev/null
+"$build/bench/report_diff" --validate "$out/fig09_lr_exec_heap8.json"
 
 echo "Baselines written to $out; review with: git diff bench/baselines/"

@@ -1,7 +1,10 @@
 #include "obs/run_report.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <set>
 
 #include "obs/json.h"
@@ -55,58 +58,7 @@ std::string ToJson(const RunReport& report) {
              "\", \"count\": " + std::to_string(sp.count) +
              ", \"total_ms\": " + JsonNumber(sp.total_ms) + "}";
     }
-    out += "\n     ]";
-    if (run.epochs.present) {
-      const EpochAgg& e = run.epochs;
-      out += ",\n     \"epochs\": {\"epochs_run\": " +
-             std::to_string(e.epochs_run) +
-             ", \"windows\": " + std::to_string(e.windows) +
-             ", \"reclaimed_bytes\": " + std::to_string(e.reclaimed_bytes) +
-             ", \"pause_p50_ms\": " + JsonNumber(e.pause_p50_ms) +
-             ", \"pause_p99_ms\": " + JsonNumber(e.pause_p99_ms) +
-             ", \"reclaim_p99_ms\": " + JsonNumber(e.reclaim_p99_ms) + "}";
-    }
-    if (run.tier.present) {
-      const TierAgg& t = run.tier;
-      out += ",\n     \"tier\": {\"t0_resident_bytes\": " +
-             std::to_string(t.t0_resident_bytes) +
-             ", \"t1_resident_bytes\": " +
-             std::to_string(t.t1_resident_bytes) +
-             ", \"t2_resident_bytes\": " +
-             std::to_string(t.t2_resident_bytes) +
-             ", \"t1_peak_bytes\": " + std::to_string(t.t1_peak_bytes) +
-             ", \"t0_hits\": " + std::to_string(t.t0_hits) +
-             ", \"t1_hits\": " + std::to_string(t.t1_hits) +
-             ", \"t2_hits\": " + std::to_string(t.t2_hits) +
-             ", \"misses\": " + std::to_string(t.misses) +
-             ", \"demotes_to_t1\": " + std::to_string(t.demotes_to_t1) +
-             ", \"demotes_to_t2\": " + std::to_string(t.demotes_to_t2) +
-             ", \"promotes\": " + std::to_string(t.promotes) +
-             ", \"admit_rejects\": " + std::to_string(t.admit_rejects) +
-             ", \"promote_p50_ms\": " + JsonNumber(t.promote_p50_ms) +
-             ", \"promote_p99_ms\": " + JsonNumber(t.promote_p99_ms) + "}";
-    }
-    if (run.pauses.present) {
-      const PauseAgg& p = run.pauses;
-      out += ",\n     \"pauses\": {\"mark_slices\": " +
-             std::to_string(p.mark_slices) +
-             ", \"pause_events\": " + std::to_string(p.pause_events) +
-             ", \"pause_p50_ms\": " + JsonNumber(p.pause_p50_ms) +
-             ", \"pause_p99_ms\": " + JsonNumber(p.pause_p99_ms) +
-             ", \"pause_max_ms\": " + JsonNumber(p.pause_max_ms) +
-             ", \"slice_p50_ms\": " + JsonNumber(p.slice_p50_ms) +
-             ", \"slice_p99_ms\": " + JsonNumber(p.slice_p99_ms) +
-             ", \"slice_max_ms\": " + JsonNumber(p.slice_max_ms) + "}";
-    }
-    if (run.alloc.present) {
-      const AllocAgg& a = run.alloc;
-      out += ",\n     \"alloc\": {\"alloc_calls\": " +
-             std::to_string(a.alloc_calls) +
-             ", \"free_calls\": " + std::to_string(a.free_calls) +
-             ", \"bytes_requested\": " + std::to_string(a.bytes_requested) +
-             "}";
-    }
-    out += "}";
+    out += "\n     ]}";
   }
   out += "\n  ]\n}\n";
   return out;
@@ -164,70 +116,52 @@ bool FromJson(std::string_view json, RunReport* out, std::string* err) {
         run.spans.push_back(std::move(s));
       }
     }
-    if (const JsonValue* epochs = jr.Find("epochs");
-        epochs != nullptr && epochs->is(JsonValue::Type::kObject)) {
-      run.epochs.present = true;
-      run.epochs.epochs_run =
-          static_cast<uint64_t>(epochs->Num("epochs_run"));
-      run.epochs.windows = static_cast<uint64_t>(epochs->Num("windows"));
-      run.epochs.reclaimed_bytes =
-          static_cast<uint64_t>(epochs->Num("reclaimed_bytes"));
-      run.epochs.pause_p50_ms = epochs->Num("pause_p50_ms");
-      run.epochs.pause_p99_ms = epochs->Num("pause_p99_ms");
-      run.epochs.reclaim_p99_ms = epochs->Num("reclaim_p99_ms");
-    }
-    if (const JsonValue* tier = jr.Find("tier");
-        tier != nullptr && tier->is(JsonValue::Type::kObject)) {
-      run.tier.present = true;
-      run.tier.t0_resident_bytes =
-          static_cast<uint64_t>(tier->Num("t0_resident_bytes"));
-      run.tier.t1_resident_bytes =
-          static_cast<uint64_t>(tier->Num("t1_resident_bytes"));
-      run.tier.t2_resident_bytes =
-          static_cast<uint64_t>(tier->Num("t2_resident_bytes"));
-      run.tier.t1_peak_bytes =
-          static_cast<uint64_t>(tier->Num("t1_peak_bytes"));
-      run.tier.t0_hits = static_cast<uint64_t>(tier->Num("t0_hits"));
-      run.tier.t1_hits = static_cast<uint64_t>(tier->Num("t1_hits"));
-      run.tier.t2_hits = static_cast<uint64_t>(tier->Num("t2_hits"));
-      run.tier.misses = static_cast<uint64_t>(tier->Num("misses"));
-      run.tier.demotes_to_t1 =
-          static_cast<uint64_t>(tier->Num("demotes_to_t1"));
-      run.tier.demotes_to_t2 =
-          static_cast<uint64_t>(tier->Num("demotes_to_t2"));
-      run.tier.promotes = static_cast<uint64_t>(tier->Num("promotes"));
-      run.tier.admit_rejects =
-          static_cast<uint64_t>(tier->Num("admit_rejects"));
-      run.tier.promote_p50_ms = tier->Num("promote_p50_ms");
-      run.tier.promote_p99_ms = tier->Num("promote_p99_ms");
-    }
-    if (const JsonValue* pauses = jr.Find("pauses");
-        pauses != nullptr && pauses->is(JsonValue::Type::kObject)) {
-      run.pauses.present = true;
-      run.pauses.mark_slices =
-          static_cast<uint64_t>(pauses->Num("mark_slices"));
-      run.pauses.pause_events =
-          static_cast<uint64_t>(pauses->Num("pause_events"));
-      run.pauses.pause_p50_ms = pauses->Num("pause_p50_ms");
-      run.pauses.pause_p99_ms = pauses->Num("pause_p99_ms");
-      run.pauses.pause_max_ms = pauses->Num("pause_max_ms");
-      run.pauses.slice_p50_ms = pauses->Num("slice_p50_ms");
-      run.pauses.slice_p99_ms = pauses->Num("slice_p99_ms");
-      run.pauses.slice_max_ms = pauses->Num("slice_max_ms");
-    }
-    if (const JsonValue* alloc = jr.Find("alloc");
-        alloc != nullptr && alloc->is(JsonValue::Type::kObject)) {
-      run.alloc.present = true;
-      run.alloc.alloc_calls =
-          static_cast<uint64_t>(alloc->Num("alloc_calls"));
-      run.alloc.free_calls = static_cast<uint64_t>(alloc->Num("free_calls"));
-      run.alloc.bytes_requested =
-          static_cast<uint64_t>(alloc->Num("bytes_requested"));
-    }
     out->runs.push_back(std::move(run));
   }
   return true;
 }
+
+namespace {
+
+/// The latency-family rule of Validate: metrics whose names differ only in
+/// a `_p50`/`_p99`/`_max` token (e.g. `pauses.slice_p50_ms`,
+/// `pauses.slice_p99_ms`, `pauses.slice_max_ms`) are non-negative and
+/// non-decreasing in that order.
+bool LatencyFamiliesOrdered(const ReportRun& run, std::string* err) {
+  static constexpr std::string_view kTails[] = {"_p50", "_p99", "_max"};
+  std::map<std::string, std::array<const ReportMetric*, 3>> families;
+  for (const ReportMetric& m : run.metrics) {
+    for (size_t rank = 0; rank < std::size(kTails); ++rank) {
+      const size_t pos = m.name.find(kTails[rank]);
+      const size_t end = pos + kTails[rank].size();
+      if (pos == std::string::npos ||
+          (end != m.name.size() && m.name[end] != '_')) {
+        continue;
+      }
+      std::string key = m.name;
+      key.replace(pos, kTails[rank].size(), "_*");
+      families[key][rank] = &m;
+      break;
+    }
+  }
+  for (const auto& [key, family] : families) {
+    double floor = 0;
+    for (const ReportMetric* m : family) {
+      if (m == nullptr) continue;
+      if (m->value < floor) {
+        if (err != nullptr) {
+          *err = "latency family '" + key + "' negative or out of order at '" +
+                 m->name + "' in '" + run.label + "'";
+        }
+        return false;
+      }
+      floor = m->value;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 bool Validate(const RunReport& report, std::string* err) {
   auto fail = [err](const std::string& what) {
@@ -265,48 +199,12 @@ bool Validate(const RunReport& report, std::string* err) {
                     run.label + "'");
       }
     }
-    if (run.epochs.present) {
-      const EpochAgg& e = run.epochs;
-      if (!std::isfinite(e.pause_p50_ms) || e.pause_p50_ms < 0 ||
-          !std::isfinite(e.pause_p99_ms) || e.pause_p99_ms < 0 ||
-          !std::isfinite(e.reclaim_p99_ms) || e.reclaim_p99_ms < 0) {
-        return fail("bad epoch pause aggregate in '" + run.label + "'");
-      }
-      if (e.pause_p50_ms > e.pause_p99_ms) {
-        return fail("epoch pause p50 > p99 in '" + run.label + "'");
-      }
-    }
-    if (run.tier.present) {
-      const TierAgg& t = run.tier;
-      if (!std::isfinite(t.promote_p50_ms) || t.promote_p50_ms < 0 ||
-          !std::isfinite(t.promote_p99_ms) || t.promote_p99_ms < 0) {
-        return fail("bad tier promote aggregate in '" + run.label + "'");
-      }
-      if (t.promote_p50_ms > t.promote_p99_ms) {
-        return fail("tier promote p50 > p99 in '" + run.label + "'");
-      }
-    }
-    if (run.pauses.present) {
-      const PauseAgg& p = run.pauses;
-      for (double v : {p.pause_p50_ms, p.pause_p99_ms, p.pause_max_ms,
-                       p.slice_p50_ms, p.slice_p99_ms, p.slice_max_ms}) {
-        if (!std::isfinite(v) || v < 0) {
-          return fail("bad pause aggregate in '" + run.label + "'");
-        }
-      }
-      if (p.pause_p50_ms > p.pause_p99_ms ||
-          p.pause_p99_ms > p.pause_max_ms ||
-          p.slice_p50_ms > p.slice_p99_ms ||
-          p.slice_p99_ms > p.slice_max_ms) {
-        return fail("pause percentiles out of order in '" + run.label +
-                    "'");
-      }
-    }
-    if (run.alloc.present) {
-      if (run.alloc.free_calls > run.alloc.alloc_calls) {
-        return fail("alloc free_calls > alloc_calls in '" + run.label +
-                    "'");
-      }
+    if (!LatencyFamiliesOrdered(run, err)) return false;
+    const ReportMetric* allocs = run.Find("alloc.allocs");
+    const ReportMetric* frees = run.Find("alloc.frees");
+    if (allocs != nullptr && frees != nullptr &&
+        frees->value > allocs->value) {
+      return fail("alloc.frees > alloc.allocs in '" + run.label + "'");
     }
   }
   return true;
@@ -335,52 +233,6 @@ bool ReportsEqual(const RunReport& a, const RunReport& b) {
           ra.spans[s].total_ms != rb.spans[s].total_ms) {
         return false;
       }
-    }
-    const EpochAgg& ea = ra.epochs;
-    const EpochAgg& eb = rb.epochs;
-    if (ea.present != eb.present || ea.epochs_run != eb.epochs_run ||
-        ea.windows != eb.windows ||
-        ea.reclaimed_bytes != eb.reclaimed_bytes ||
-        ea.pause_p50_ms != eb.pause_p50_ms ||
-        ea.pause_p99_ms != eb.pause_p99_ms ||
-        ea.reclaim_p99_ms != eb.reclaim_p99_ms) {
-      return false;
-    }
-    const TierAgg& ta = ra.tier;
-    const TierAgg& tb = rb.tier;
-    if (ta.present != tb.present ||
-        ta.t0_resident_bytes != tb.t0_resident_bytes ||
-        ta.t1_resident_bytes != tb.t1_resident_bytes ||
-        ta.t2_resident_bytes != tb.t2_resident_bytes ||
-        ta.t1_peak_bytes != tb.t1_peak_bytes ||
-        ta.t0_hits != tb.t0_hits || ta.t1_hits != tb.t1_hits ||
-        ta.t2_hits != tb.t2_hits || ta.misses != tb.misses ||
-        ta.demotes_to_t1 != tb.demotes_to_t1 ||
-        ta.demotes_to_t2 != tb.demotes_to_t2 ||
-        ta.promotes != tb.promotes ||
-        ta.admit_rejects != tb.admit_rejects ||
-        ta.promote_p50_ms != tb.promote_p50_ms ||
-        ta.promote_p99_ms != tb.promote_p99_ms) {
-      return false;
-    }
-    const PauseAgg& pa = ra.pauses;
-    const PauseAgg& pb = rb.pauses;
-    if (pa.present != pb.present || pa.mark_slices != pb.mark_slices ||
-        pa.pause_events != pb.pause_events ||
-        pa.pause_p50_ms != pb.pause_p50_ms ||
-        pa.pause_p99_ms != pb.pause_p99_ms ||
-        pa.pause_max_ms != pb.pause_max_ms ||
-        pa.slice_p50_ms != pb.slice_p50_ms ||
-        pa.slice_p99_ms != pb.slice_p99_ms ||
-        pa.slice_max_ms != pb.slice_max_ms) {
-      return false;
-    }
-    const AllocAgg& aa = ra.alloc;
-    const AllocAgg& ab = rb.alloc;
-    if (aa.present != ab.present || aa.alloc_calls != ab.alloc_calls ||
-        aa.free_calls != ab.free_calls ||
-        aa.bytes_requested != ab.bytes_requested) {
-      return false;
     }
   }
   return true;
@@ -461,144 +313,6 @@ DiffResult DiffReports(const RunReport& baseline, const RunReport& current,
              "' total_ms regressed " + JsonNumber(bs.total_ms) + " -> " +
              JsonNumber(cs->total_ms));
       }
-    }
-    if (base_run.epochs.present) {
-      const EpochAgg& be = base_run.epochs;
-      const EpochAgg& ce = cur_run->epochs;
-      if (!ce.present) {
-        fail(base_run.label + ": epoch aggregates missing from current "
-             "report");
-        continue;
-      }
-      // Deterministic epoch counters: bit-compare.
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": epoch counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("epochs_run", be.epochs_run, ce.epochs_run);
-      counter("windows", be.windows, ce.windows);
-      counter("reclaimed_bytes", be.reclaimed_bytes, ce.reclaimed_bytes);
-      // Pause percentiles are wall times: regression threshold only.
-      auto pause = [&](const char* name, double bv, double cv) {
-        if (cv > bv * (1.0 + opt.time_threshold) &&
-            cv - bv > opt.time_floor_ms) {
-          fail(base_run.label + ": epoch pause '" + std::string(name) +
-               "' regressed " + JsonNumber(bv) + " -> " + JsonNumber(cv) +
-               " ms");
-        }
-      };
-      if (!opt.exact_only) {
-        pause("pause_p50_ms", be.pause_p50_ms, ce.pause_p50_ms);
-        pause("pause_p99_ms", be.pause_p99_ms, ce.pause_p99_ms);
-        pause("reclaim_p99_ms", be.reclaim_p99_ms, ce.reclaim_p99_ms);
-      }
-    }
-    if (base_run.tier.present) {
-      const TierAgg& bt = base_run.tier;
-      const TierAgg& ct = cur_run->tier;
-      if (!ct.present) {
-        fail(base_run.label + ": tier aggregates missing from current "
-             "report");
-        continue;
-      }
-      // Deterministic tier counters: bit-compare.
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": tier counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("t0_resident_bytes", bt.t0_resident_bytes,
-              ct.t0_resident_bytes);
-      counter("t1_resident_bytes", bt.t1_resident_bytes,
-              ct.t1_resident_bytes);
-      counter("t2_resident_bytes", bt.t2_resident_bytes,
-              ct.t2_resident_bytes);
-      counter("t1_peak_bytes", bt.t1_peak_bytes, ct.t1_peak_bytes);
-      counter("t0_hits", bt.t0_hits, ct.t0_hits);
-      counter("t1_hits", bt.t1_hits, ct.t1_hits);
-      counter("t2_hits", bt.t2_hits, ct.t2_hits);
-      counter("misses", bt.misses, ct.misses);
-      counter("demotes_to_t1", bt.demotes_to_t1, ct.demotes_to_t1);
-      counter("demotes_to_t2", bt.demotes_to_t2, ct.demotes_to_t2);
-      counter("promotes", bt.promotes, ct.promotes);
-      counter("admit_rejects", bt.admit_rejects, ct.admit_rejects);
-      // Promote percentiles are wall times: regression threshold only.
-      auto promote = [&](const char* name, double bv, double cv) {
-        if (cv > bv * (1.0 + opt.time_threshold) &&
-            cv - bv > opt.time_floor_ms) {
-          fail(base_run.label + ": tier promote '" + std::string(name) +
-               "' regressed " + JsonNumber(bv) + " -> " + JsonNumber(cv) +
-               " ms");
-        }
-      };
-      if (!opt.exact_only) {
-        promote("promote_p50_ms", bt.promote_p50_ms, ct.promote_p50_ms);
-        promote("promote_p99_ms", bt.promote_p99_ms, ct.promote_p99_ms);
-      }
-    }
-    if (base_run.pauses.present) {
-      const PauseAgg& bp = base_run.pauses;
-      const PauseAgg& cp = cur_run->pauses;
-      if (!cp.present) {
-        fail(base_run.label + ": pause aggregates missing from current "
-             "report");
-        continue;
-      }
-      // Slice/pause event counts are deterministic at pause_budget_ms=0
-      // (one slice per mark): bit-compare. Budgeted runs must not be
-      // diffed against unbudgeted baselines (use --slo instead).
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": pause counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("mark_slices", bp.mark_slices, cp.mark_slices);
-      counter("pause_events", bp.pause_events, cp.pause_events);
-      // Percentiles are wall times: regression threshold only.
-      auto pause_time = [&](const char* name, double bv, double cv) {
-        if (cv > bv * (1.0 + opt.time_threshold) &&
-            cv - bv > opt.time_floor_ms) {
-          fail(base_run.label + ": pause time '" + std::string(name) +
-               "' regressed " + JsonNumber(bv) + " -> " + JsonNumber(cv) +
-               " ms");
-        }
-      };
-      if (!opt.exact_only) {
-        pause_time("pause_p50_ms", bp.pause_p50_ms, cp.pause_p50_ms);
-        pause_time("pause_p99_ms", bp.pause_p99_ms, cp.pause_p99_ms);
-        pause_time("pause_max_ms", bp.pause_max_ms, cp.pause_max_ms);
-        pause_time("slice_p50_ms", bp.slice_p50_ms, cp.slice_p50_ms);
-        pause_time("slice_p99_ms", bp.slice_p99_ms, cp.slice_p99_ms);
-        pause_time("slice_max_ms", bp.slice_max_ms, cp.slice_max_ms);
-      }
-    }
-    if (base_run.alloc.present) {
-      const AllocAgg& ba = base_run.alloc;
-      const AllocAgg& ca = cur_run->alloc;
-      if (!ca.present) {
-        fail(base_run.label + ": alloc aggregates missing from current "
-             "report");
-        continue;
-      }
-      // The call/byte counters are part of the determinism contract
-      // (identical across threads and dist modes).
-      auto counter = [&](const char* name, uint64_t bv, uint64_t cv) {
-        if (bv != cv) {
-          fail(base_run.label + ": alloc counter '" + std::string(name) +
-               "' changed " + std::to_string(bv) + " -> " +
-               std::to_string(cv));
-        }
-      };
-      counter("alloc_calls", ba.alloc_calls, ca.alloc_calls);
-      counter("free_calls", ba.free_calls, ca.free_calls);
-      counter("bytes_requested", ba.bytes_requested, ca.bytes_requested);
     }
   }
   return result;

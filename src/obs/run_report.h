@@ -20,99 +20,28 @@ struct ReportMetric {
   bool exact = false;
 };
 
-/// Epoch plane of a micro-batch streaming run (schema v2). Absent
-/// (`present == false`) for batch runs. The counters are deterministic
-/// simulation results and are bit-compared by report_diff; the pause
-/// percentiles are wall times and are threshold-compared.
-struct EpochAgg {
-  bool present = false;
-  uint64_t epochs_run = 0;
-  uint64_t windows = 0;
-  uint64_t reclaimed_bytes = 0;
-  double pause_p50_ms = 0;
-  double pause_p99_ms = 0;
-  double reclaim_p99_ms = 0;
-};
-
-/// Storage-tier plane of a run with the serialized off-heap tier enabled
-/// (schema v3). Absent (`present == false`) when storage_tiers=2 (the
-/// legacy heap→disk store). Resident bytes and hit/demote/promote counters
-/// are deterministic simulation results and are bit-compared by
-/// report_diff; the promote percentiles are wall times and are
-/// threshold-compared.
-struct TierAgg {
-  bool present = false;
-  uint64_t t0_resident_bytes = 0;
-  uint64_t t1_resident_bytes = 0;
-  uint64_t t2_resident_bytes = 0;
-  uint64_t t1_peak_bytes = 0;
-  uint64_t t0_hits = 0;
-  uint64_t t1_hits = 0;
-  uint64_t t2_hits = 0;
-  uint64_t misses = 0;
-  uint64_t demotes_to_t1 = 0;
-  uint64_t demotes_to_t2 = 0;
-  uint64_t promotes = 0;
-  uint64_t admit_rejects = 0;
-  double promote_p50_ms = 0;
-  double promote_p99_ms = 0;
-};
-
-/// GC pause plane of a run (schema v4). `mark_slices` counts every
-/// recorded mark slice (monolithic marks count one each, so at
-/// pause_budget_ms=0 it is a deterministic counter; at budget > 0 the
-/// slice count is timing-dependent — budgeted runs are gated with
-/// report_diff --slo assertions, not baseline diffs). `pause_events`
-/// counts mutator-visible stop-the-world pauses. The percentiles are wall
-/// times over the pause/slice histograms and are threshold-compared.
-struct PauseAgg {
-  bool present = false;
-  uint64_t mark_slices = 0;
-  uint64_t pause_events = 0;
-  double pause_p50_ms = 0;
-  double pause_p99_ms = 0;
-  double pause_max_ms = 0;
-  double slice_p50_ms = 0;
-  double slice_p99_ms = 0;
-  double slice_max_ms = 0;
-};
-
-/// Native-allocator plane of a run (schema v5). Absent
-/// (`present == false`) for reports written before v5 or for
-/// standalone-heap runs that never touched a PageAllocator. The counters
-/// are deterministic and bit-compared by report_diff. The reader ignores
-/// the informational arena keys (`arena`, `slab_*`, `chunks_mapped`, ...)
-/// that older v5 reports carry.
-struct AllocAgg {
-  bool present = false;
-  uint64_t alloc_calls = 0;
-  uint64_t free_calls = 0;
-  uint64_t bytes_requested = 0;
-};
-
 /// One workload run (one mode / configuration) inside a bench binary.
+/// Every plane (epochs, tiers, GC pauses, allocator, wire, cluster)
+/// reports through the flat metric list under a dotted prefix
+/// (`epoch.*`, `tier.*`, `pauses.*`, `alloc.*`, ...), so a new metric needs
+/// no code here, in the JSON layer or in DiffReports.
 struct ReportRun {
   std::string label;  // e.g. "LR-large/Deca"
   std::vector<ReportMetric> metrics;
   std::vector<SpanAgg> spans;  // per-(cat,name) trace aggregates
-  EpochAgg epochs;             // streaming runs only
-  TierAgg tier;                // tiered-store runs only
-  PauseAgg pauses;             // GC pause/mark-slice histograms
-  AllocAgg alloc;              // native page-allocator counters
 
   const ReportMetric* Find(std::string_view name) const;
   void Add(std::string_view name, double value, bool exact);
 };
 
 /// The machine-readable result of one bench binary execution
-/// (`--json-out=` / `DECA_JSON_OUT`). Schema "deca-run-report" v5
-/// (v2 added the optional per-run "epochs" aggregate, v3 the optional
-/// per-run "tier" aggregate, v4 the optional per-run "pauses" aggregate,
-/// v5 the optional per-run "alloc" aggregate; older reports are still
-/// parsed).
+/// (`--json-out=` / `DECA_JSON_OUT`). Schema "deca-run-report" v6: per run,
+/// a label, flat metrics and span aggregates only. Reports v1-v5 still
+/// parse; the typed per-run "epochs"/"tier"/"pauses"/"alloc" blocks of
+/// v2-v5 are ignored (v6 writes each of their counters as a flat metric).
 struct RunReport {
   static constexpr const char* kSchema = "deca-run-report";
-  static constexpr int kVersion = 5;
+  static constexpr int kVersion = 6;
   static constexpr int kMinVersion = 1;
 
   std::string bench;  // binary name, e.g. "fig11_breakdown"
@@ -127,8 +56,10 @@ std::string ToJson(const RunReport& report);
 /// Parses a report; false + `err` on malformed input or schema mismatch.
 bool FromJson(std::string_view json, RunReport* out, std::string* err);
 
-/// Structural schema check: schema/version match, non-empty bench,
-/// unique non-empty run labels, finite metric values, sane span aggs.
+/// Structural schema check: non-empty bench, unique non-empty run labels,
+/// unique finite metrics, sane span aggs. Latency families are ordered:
+/// for any `X_p50S`, `X_p99S`, `X_maxS` present in a run, each is
+/// non-negative and p50 <= p99 <= max. `alloc.frees` <= `alloc.allocs`.
 bool Validate(const RunReport& report, std::string* err);
 
 /// Deep equality (used by the exporter round-trip test).
@@ -144,9 +75,8 @@ struct DiffOptions {
   /// Exact metrics compare with this relative epsilon (doubles that went
   /// through decimal text).
   double exact_rel_eps = 1e-9;
-  /// Compare exact metrics and deterministic epoch/tier counters only;
-  /// skip
-  /// wall-time metrics and trace spans entirely. Used to diff a
+  /// Compare exact metrics only; skip wall-time metrics and trace spans
+  /// entirely. Used to diff a
   /// multi-process run against an in-process baseline: the determinism
   /// contract covers counters, not timings, and executor daemons do not
   /// record worker-side spans.

@@ -43,11 +43,41 @@ class ScopedHeapOwnership {
   bool active_;
 };
 
-}  // namespace
-
-namespace {
 /// Distinguishes concurrent contexts within one process in spill paths.
 std::atomic<uint64_t> g_next_context_id{0};
+
+/// One executor's observability snapshot — the same in-process as in a
+/// daemon's stage ack. shuffle_bytes stays empty: the shuffle service is
+/// not per executor (a daemon adds its own deposits).
+ExecutorSnapshot BuildSnapshot(const Executor& e) {
+  const jvm::Heap* h = e.heap();
+  const CacheManager* c = e.cache();
+  ExecutorSnapshot s;
+  s.gc_pause_ms = h->stats().TotalPauseMs();
+  s.concurrent_gc_ms = h->stats().concurrent_ms;
+  s.minor_gcs = h->stats().minor_count;
+  s.full_gcs = h->stats().full_count;
+  s.oom_recoveries = h->stats().oom_recoveries;
+  s.cached_bytes = c->memory_bytes();
+  s.peak_cached_bytes = c->peak_memory_bytes();
+  s.swapped_bytes = c->disk_bytes();
+  s.pressure_evictions = c->pressure_evictions();
+  s.tier = c->tier_counters();
+  s.memory = e.memory()->Snapshot();
+  const Histogram& ph = h->pause_hist();
+  const Histogram& sh = h->mark_slice_hist();
+  s.pauses.mark_slices = h->stats().mark_slices;
+  s.pauses.pause_events = ph.count();
+  s.pauses.pause_p50_ms = ph.Percentile(50);
+  s.pauses.pause_p99_ms = ph.Percentile(99);
+  s.pauses.pause_max_ms = ph.Max();
+  s.pauses.slice_p50_ms = sh.Percentile(50);
+  s.pauses.slice_p99_ms = sh.Percentile(99);
+  s.pauses.slice_max_ms = sh.Max();
+  s.alloc = e.page_allocator()->Stats();
+  return s;
+}
+
 }  // namespace
 
 SparkContext::SparkContext(const SparkConfig& config)
@@ -238,9 +268,15 @@ std::vector<std::vector<uint8_t>> SparkContext::ServeStage(
       case DistWorker::Command::Kind::kStageDone: {
         DECA_CHECK_EQ(cmd.stage, stage)
             << "stage-done for a stage this daemon is not serving";
-        executors_[static_cast<size_t>(config_.runtime.my_executor)]
-            ->VerifyMemoryAccounting();
-        worker->StageAck(BuildLocalSnapshot());
+        Executor& e =
+            *executors_[static_cast<size_t>(config_.runtime.my_executor)];
+        e.VerifyMemoryAccounting();
+        ExecutorSnapshot snapshot = BuildSnapshot(e);
+        const int n = shuffle_->num_shuffles();
+        for (int i = 0; i < n; ++i) {
+          snapshot.shuffle_bytes.push_back(shuffle_->total_bytes(i));
+        }
+        worker->StageAck(snapshot);
         return std::move(cmd.blobs);
       }
       case DistWorker::Command::Kind::kShutdown:
@@ -340,43 +376,6 @@ void SparkContext::MarkExecutorLost(int e) {
   obs::Instant(obs::Cat::kSched, "wipe", e);
 }
 
-ExecutorSnapshot SparkContext::BuildLocalSnapshot() const {
-  Executor* e =
-      executors_[static_cast<size_t>(config_.runtime.my_executor)].get();
-  ExecutorSnapshot s;
-  s.gc_pause_ms = e->heap()->stats().TotalPauseMs();
-  s.concurrent_gc_ms = e->heap()->stats().concurrent_ms;
-  s.minor_gcs = e->heap()->stats().minor_count;
-  s.full_gcs = e->heap()->stats().full_count;
-  s.oom_recoveries = e->heap()->stats().oom_recoveries;
-  s.cached_bytes = e->cache()->memory_bytes();
-  s.peak_cached_bytes = e->cache()->peak_memory_bytes();
-  s.swapped_bytes = e->cache()->disk_bytes();
-  s.pressure_evictions = e->cache()->pressure_evictions();
-  s.tier = e->cache()->tier_counters();
-  s.memory = e->memory()->Snapshot();
-  {
-    const jvm::Heap* h = e->heap();
-    const Histogram& ph = h->pause_hist();
-    const Histogram& sh = h->mark_slice_hist();
-    s.mark_slices = h->stats().mark_slices;
-    s.pause_events = ph.count();
-    s.pause_p50_ms = ph.Percentile(50);
-    s.pause_p99_ms = ph.Percentile(99);
-    s.pause_max_ms = ph.Max();
-    s.slice_p50_ms = sh.Percentile(50);
-    s.slice_p99_ms = sh.Percentile(99);
-    s.slice_max_ms = sh.Max();
-  }
-  s.alloc = e->page_allocator()->Stats();
-  const int n = shuffle_->num_shuffles();
-  s.shuffle_bytes.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    s.shuffle_bytes[static_cast<size_t>(i)] = shuffle_->total_bytes(i);
-  }
-  return s;
-}
-
 void SparkContext::RunStageInternal(
     const std::string& name, const std::function<void(TaskContext&)>& task,
     const CollectFn* collect, std::vector<std::vector<uint8_t>>* results) {
@@ -466,7 +465,7 @@ void SparkContext::RunStageInternal(
     if (remote) {
       // Stage barrier broadcast: every daemon leaves its serve loop,
       // folds the same collect blobs, and acks with its stats snapshot
-      // (which the Total* getters below read).
+      // (which Totals() below reads).
       static const std::vector<std::vector<uint8_t>> kNoBlobs;
       snapshots_ = config_.runtime.driver->StageDone(
           stage, collect != nullptr, results != nullptr ? *results : kNoBlobs);
@@ -479,10 +478,11 @@ void SparkContext::RunStageInternal(
     metrics_.injected_faults +=
         remote ? remote_fired_.exchange(0) : injector_.TakeFired();
     metrics_.recomputed_blocks += recomputed_blocks_.exchange(0);
-    metrics_.exec_pool_peak_bytes = TotalExecPoolPeakBytes();
-    metrics_.storage_pool_peak_bytes = TotalStoragePoolPeakBytes();
-    metrics_.borrowed_bytes = TotalBorrowedBytes();
-    metrics_.denied_reservations = TotalDeniedReservations();
+    const memory::MemoryStats pools = Totals().memory;
+    metrics_.exec_pool_peak_bytes = pools.exec_peak;
+    metrics_.storage_pool_peak_bytes = pools.storage_peak;
+    metrics_.borrowed_bytes = pools.borrowed_peak;
+    metrics_.denied_reservations = pools.denied_reservations;
     // Every byte must be charged to exactly one manager — checked at every
     // stage barrier, in sequential and parallel runs alike.
     for (auto& e : executors_) e->VerifyMemoryAccounting();
@@ -645,254 +645,27 @@ void SparkContext::UnpersistRdd(int rdd_id) {
 
 void SparkContext::ResetMetrics() { metrics_ = JobMetrics(); }
 
-// The Total* getters are role-aware: the SPMD driver's local executors
-// never run a task, so it reads the per-daemon snapshots piggybacked on
-// the last stage barrier instead. Each daemon reports only the executor
-// it hosts, so the sums equal the in-process run's bit for bit.
-
-double SparkContext::TotalGcPauseMs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    double total = 0;
-    for (const auto& s : snapshots_) total += s.gc_pause_ms;
-    return total;
-  }
-  double total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().TotalPauseMs();
-  }
-  return total;
-}
-
-double SparkContext::TotalConcurrentGcMs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    double total = 0;
-    for (const auto& s : snapshots_) total += s.concurrent_gc_ms;
-    return total;
-  }
-  double total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().concurrent_ms;
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalMinorGcs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.minor_gcs;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().minor_count;
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalFullGcs() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.full_gcs;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().full_count;
-  }
-  return total;
-}
-
-GcPauseAggregate SparkContext::TotalGcPauses() const {
-  GcPauseAggregate agg;
-  auto fold_max = [&agg](uint64_t slices, uint64_t events, double pp50,
-                         double pp99, double pmax, double sp50, double sp99,
-                         double smax) {
-    agg.mark_slices += slices;
-    agg.pause_events += events;
-    agg.pause_p50_ms = std::max(agg.pause_p50_ms, pp50);
-    agg.pause_p99_ms = std::max(agg.pause_p99_ms, pp99);
-    agg.pause_max_ms = std::max(agg.pause_max_ms, pmax);
-    agg.slice_p50_ms = std::max(agg.slice_p50_ms, sp50);
-    agg.slice_p99_ms = std::max(agg.slice_p99_ms, sp99);
-    agg.slice_max_ms = std::max(agg.slice_max_ms, smax);
-  };
-  if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) {
-      fold_max(s.mark_slices, s.pause_events, s.pause_p50_ms, s.pause_p99_ms,
-               s.pause_max_ms, s.slice_p50_ms, s.slice_p99_ms,
-               s.slice_max_ms);
-    }
-    return agg;
-  }
-  for (const auto& e : executors_) {
-    const jvm::Heap* h = e->heap();
-    const Histogram& ph = h->pause_hist();
-    const Histogram& sh = h->mark_slice_hist();
-    fold_max(h->stats().mark_slices, ph.count(), ph.Percentile(50),
-             ph.Percentile(99), ph.Max(), sh.Percentile(50),
-             sh.Percentile(99), sh.Max());
-  }
-  return agg;
-}
-
-uint64_t SparkContext::CachedMemoryBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.cached_bytes;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->memory_bytes();
-  }
-  return total;
-}
-
-uint64_t SparkContext::PeakCachedMemoryBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.peak_cached_bytes;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->peak_memory_bytes();
-  }
-  return total;
-}
-
-uint64_t SparkContext::SwappedBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.swapped_bytes;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->disk_bytes();
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalPressureEvictions() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.pressure_evictions;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->cache()->pressure_evictions();
-  }
-  return total;
-}
-
-TierCounters SparkContext::TotalTierCounters() const {
-  TierCounters total;
-  if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) total.Add(s.tier);
-    return total;
-  }
-  for (const auto& e : executors_) {
-    total.Add(e->cache()->tier_counters());
-  }
-  return total;
-}
-
-alloc::AllocStats SparkContext::TotalAllocStats() const {
-  alloc::AllocStats total;
-  if (config_.runtime.role == DistRole::kDriver) {
-    for (const auto& s : snapshots_) total.Add(s.alloc);
-  } else {
-    for (const auto& e : executors_) {
-      total.Add(e->page_allocator()->Stats());
-    }
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalOomRecoveries() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.oom_recoveries;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->heap()->stats().oom_recoveries;
-  }
-  return total;
-}
-
-uint64_t SparkContext::TotalExecPoolPeakBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.exec_peak;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) total += e->memory()->exec_peak();
-  return total;
-}
-
-uint64_t SparkContext::TotalStoragePoolPeakBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.storage_peak;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) total += e->memory()->storage_peak();
-  return total;
-}
-
-uint64_t SparkContext::TotalBorrowedBytes() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.borrowed_peak;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) total += e->memory()->borrowed_peak();
-  return total;
-}
-
-uint64_t SparkContext::TotalDeniedReservations() const {
-  if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) total += s.memory.denied_reservations;
-    return total;
-  }
-  uint64_t total = 0;
-  for (const auto& e : executors_) {
-    total += e->memory()->denied_reservations();
-  }
-  return total;
-}
-
-std::vector<memory::MemoryStats> SparkContext::ExecutorMemorySnapshots()
-    const {
-  std::vector<memory::MemoryStats> out;
-  if (config_.runtime.role == DistRole::kDriver) {
-    out.reserve(snapshots_.size());
-    for (const auto& s : snapshots_) out.push_back(s.memory);
-    return out;
-  }
+std::vector<ExecutorSnapshot> SparkContext::ExecutorSnapshots() const {
+  if (config_.runtime.role == DistRole::kDriver) return snapshots_;
+  std::vector<ExecutorSnapshot> out;
   out.reserve(executors_.size());
-  for (const auto& e : executors_) out.push_back(e->memory()->Snapshot());
+  for (const auto& e : executors_) out.push_back(BuildSnapshot(*e));
   return out;
+}
+
+ExecutorSnapshot SparkContext::Totals() const {
+  ExecutorSnapshot total;
+  for (const ExecutorSnapshot& s : ExecutorSnapshots()) total.Add(s);
+  return total;
 }
 
 uint64_t SparkContext::ShuffleTotalBytes(int shuffle_id) const {
   if (config_.runtime.role == DistRole::kDriver) {
-    uint64_t total = 0;
-    for (const auto& s : snapshots_) {
-      if (shuffle_id >= 0 &&
-          static_cast<size_t>(shuffle_id) < s.shuffle_bytes.size()) {
-        total += s.shuffle_bytes[static_cast<size_t>(shuffle_id)];
-      }
-    }
-    return total;
+    // The daemons' per-executor deposits, summed by the snapshot fold.
+    const std::vector<uint64_t> bytes = Totals().shuffle_bytes;
+    return shuffle_id >= 0 && static_cast<size_t>(shuffle_id) < bytes.size()
+               ? bytes[static_cast<size_t>(shuffle_id)]
+               : 0;
   }
   return shuffle_->total_bytes(shuffle_id);
 }

@@ -186,39 +186,14 @@ class SparkContext {
   /// fresh log, so benches can take one log per measured run.
   std::shared_ptr<obs::TraceLog> TakeTraceLog() { return tracer_.Take(); }
 
-  /// Sum of GC pause time across executors so far.
-  double TotalGcPauseMs() const;
-  double TotalConcurrentGcMs() const;
-  uint64_t TotalMinorGcs() const;
-  uint64_t TotalFullGcs() const;
-  /// GC pause plane (schema v4): slice/pause counts summed across
-  /// executors, latency percentiles composed by max (the job-level tail
-  /// is bounded by the worst executor). Role-aware like the other
-  /// getters.
-  GcPauseAggregate TotalGcPauses() const;
-  /// Sum of current in-memory cached bytes across executors.
-  uint64_t CachedMemoryBytes() const;
-  uint64_t PeakCachedMemoryBytes() const;
-  uint64_t SwappedBytes() const;
-  /// Cache blocks swapped out by the OOM degradation ladder.
-  uint64_t TotalPressureEvictions() const;
-  /// Block-store tier plane summed across executors (per-tier residency,
-  /// hit/miss counts, demote/promote transitions). Role-aware like the
-  /// other getters.
-  TierCounters TotalTierCounters() const;
-  /// Native-allocator plane summed across executors (role-aware). The
-  /// alloc/free call and bytes-requested counters are deterministic.
-  alloc::AllocStats TotalAllocStats() const;
-  /// Allocations rescued by eviction-under-pressure + full GC + retry.
-  uint64_t TotalOomRecoveries() const;
-  /// Unified memory-manager plane, summed across executors (peaks are
-  /// per-executor high-water marks).
-  uint64_t TotalExecPoolPeakBytes() const;
-  uint64_t TotalStoragePoolPeakBytes() const;
-  uint64_t TotalBorrowedBytes() const;
-  uint64_t TotalDeniedReservations() const;
-  /// One memory-manager snapshot per executor, in executor-id order.
-  std::vector<memory::MemoryStats> ExecutorMemorySnapshots() const;
+  /// One observability snapshot per executor, in executor-id order.
+  /// Role-aware: the SPMD driver's local executors never run a task, so it
+  /// returns the snapshots its daemons piggybacked on the last stage
+  /// barrier; every other role builds them from the live executors.
+  std::vector<ExecutorSnapshot> ExecutorSnapshots() const;
+  /// ExecutorSnapshots() merged with ExecutorSnapshot::Add: counters and
+  /// per-executor peaks sum, latency percentiles take the max.
+  ExecutorSnapshot Totals() const;
 
   /// Shuffle payload bytes for `shuffle_id`. Role-aware: the driver sums
   /// the per-daemon values from the latest stage-ack snapshots (its own
@@ -270,8 +245,6 @@ class SparkContext {
   /// daemon died (lineage lost-sets, wipe counter). The data itself died
   /// with the process.
   void MarkExecutorLost(int e);
-  /// Worker role: this executor's observability snapshot for a stage ack.
-  ExecutorSnapshot BuildLocalSnapshot() const;
   /// Replays lineage/map stages for partitions lost to a wipe. `stage` is
   /// the id of the upcoming stage; replay trace windows are attributed to
   /// it with attempt = -1. Driver role replays over RPC.
@@ -297,8 +270,8 @@ class SparkContext {
   /// Driver role: injected faults reported by daemons (their identically
   /// seeded injectors make the decisions; the driver only counts).
   std::atomic<uint64_t> remote_fired_{0};
-  /// Driver role: each executor's latest stage-ack snapshot; the Total*
-  /// getters read these instead of the (idle) local executors.
+  /// Driver role: each executor's latest stage-ack snapshot, read by
+  /// ExecutorSnapshots() instead of the (idle) local executors.
   std::vector<ExecutorSnapshot> snapshots_;
   std::vector<WipeListener*> wipe_listeners_;
   std::vector<ReplayStage> replay_stages_;

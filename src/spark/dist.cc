@@ -1,5 +1,9 @@
 #include "spark/dist.h"
 
+#include <algorithm>
+
+#include "common/logging.h"
+
 namespace deca::spark {
 
 const char* DistModeName(DistMode m) {
@@ -12,53 +16,72 @@ const char* DistModeName(DistMode m) {
   return "?";
 }
 
+namespace {
+
+// Wire order of each plane's fields. Encode, Decode and the Add merges
+// walk the same tables, so a field listed here is carried and merged.
+using memory::MemoryStats;
+constexpr uint64_t ExecutorSnapshot::*kCounters[] = {
+    &ExecutorSnapshot::minor_gcs,          &ExecutorSnapshot::full_gcs,
+    &ExecutorSnapshot::oom_recoveries,     &ExecutorSnapshot::cached_bytes,
+    &ExecutorSnapshot::peak_cached_bytes,  &ExecutorSnapshot::swapped_bytes,
+    &ExecutorSnapshot::pressure_evictions};
+constexpr uint64_t TierCounters::*kTierCounters[] = {
+    &TierCounters::t0_resident_bytes, &TierCounters::t1_resident_bytes,
+    &TierCounters::t2_resident_bytes, &TierCounters::t1_peak_bytes,
+    &TierCounters::t0_hits,           &TierCounters::t1_hits,
+    &TierCounters::t2_hits,           &TierCounters::misses,
+    &TierCounters::demotes_to_t1,     &TierCounters::demotes_to_t2,
+    &TierCounters::promotes,          &TierCounters::admit_rejects};
+constexpr uint64_t MemoryStats::*kMemoryFields[] = {
+    &MemoryStats::total_bytes,         &MemoryStats::storage_floor_bytes,
+    &MemoryStats::exec_used,           &MemoryStats::exec_peak,
+    &MemoryStats::storage_used,        &MemoryStats::storage_peak,
+    &MemoryStats::borrowed_peak,       &MemoryStats::denied_reservations,
+    &MemoryStats::storage_reserved,    &MemoryStats::demoted_blocks,
+    &MemoryStats::spilled_blocks,      &MemoryStats::page_bytes,
+    &MemoryStats::heap_capacity,       &MemoryStats::heap_used,
+    &MemoryStats::heap_old_used};
+constexpr double GcPauseAggregate::*kPercentiles[] = {
+    &GcPauseAggregate::pause_p50_ms, &GcPauseAggregate::pause_p99_ms,
+    &GcPauseAggregate::pause_max_ms, &GcPauseAggregate::slice_p50_ms,
+    &GcPauseAggregate::slice_p99_ms, &GcPauseAggregate::slice_max_ms};
+
+}  // namespace
+
+void GcPauseAggregate::Add(const GcPauseAggregate& o) {
+  mark_slices += o.mark_slices;
+  pause_events += o.pause_events;
+  for (auto f : kPercentiles) this->*f = std::max(this->*f, o.*f);
+}
+
+void ExecutorSnapshot::Add(const ExecutorSnapshot& o) {
+  gc_pause_ms += o.gc_pause_ms;
+  concurrent_gc_ms += o.concurrent_gc_ms;
+  for (auto f : kCounters) this->*f += o.*f;
+  tier.Add(o.tier);
+  for (auto f : kMemoryFields) memory.*f += o.memory.*f;
+  pauses.Add(o.pauses);
+  alloc.Add(o.alloc);
+  if (shuffle_bytes.size() < o.shuffle_bytes.size()) {
+    shuffle_bytes.resize(o.shuffle_bytes.size());
+  }
+  for (size_t i = 0; i < o.shuffle_bytes.size(); ++i) {
+    shuffle_bytes[i] += o.shuffle_bytes[i];
+  }
+}
+
 void ExecutorSnapshot::Encode(ByteWriter* w) const {
   w->Write<double>(gc_pause_ms);
   w->Write<double>(concurrent_gc_ms);
-  w->WriteVarU64(minor_gcs);
-  w->WriteVarU64(full_gcs);
-  w->WriteVarU64(oom_recoveries);
-  w->WriteVarU64(cached_bytes);
-  w->WriteVarU64(peak_cached_bytes);
-  w->WriteVarU64(swapped_bytes);
-  w->WriteVarU64(pressure_evictions);
-  w->WriteVarU64(tier.t0_resident_bytes);
-  w->WriteVarU64(tier.t1_resident_bytes);
-  w->WriteVarU64(tier.t2_resident_bytes);
-  w->WriteVarU64(tier.t1_peak_bytes);
-  w->WriteVarU64(tier.t0_hits);
-  w->WriteVarU64(tier.t1_hits);
-  w->WriteVarU64(tier.t2_hits);
-  w->WriteVarU64(tier.misses);
-  w->WriteVarU64(tier.demotes_to_t1);
-  w->WriteVarU64(tier.demotes_to_t2);
-  w->WriteVarU64(tier.promotes);
-  w->WriteVarU64(tier.admit_rejects);
+  for (auto f : kCounters) w->WriteVarU64(this->*f);
+  for (auto f : kTierCounters) w->WriteVarU64(tier.*f);
   w->Write<double>(tier.promote_p50_ms);
   w->Write<double>(tier.promote_p99_ms);
-  w->WriteVarU64(memory.total_bytes);
-  w->WriteVarU64(memory.storage_floor_bytes);
-  w->WriteVarU64(memory.exec_used);
-  w->WriteVarU64(memory.exec_peak);
-  w->WriteVarU64(memory.storage_used);
-  w->WriteVarU64(memory.storage_peak);
-  w->WriteVarU64(memory.borrowed_peak);
-  w->WriteVarU64(memory.denied_reservations);
-  w->WriteVarU64(memory.storage_reserved);
-  w->WriteVarU64(memory.demoted_blocks);
-  w->WriteVarU64(memory.spilled_blocks);
-  w->WriteVarU64(memory.page_bytes);
-  w->WriteVarU64(memory.heap_capacity);
-  w->WriteVarU64(memory.heap_used);
-  w->WriteVarU64(memory.heap_old_used);
-  w->WriteVarU64(mark_slices);
-  w->WriteVarU64(pause_events);
-  w->Write<double>(pause_p50_ms);
-  w->Write<double>(pause_p99_ms);
-  w->Write<double>(pause_max_ms);
-  w->Write<double>(slice_p50_ms);
-  w->Write<double>(slice_p99_ms);
-  w->Write<double>(slice_max_ms);
+  for (auto f : kMemoryFields) w->WriteVarU64(memory.*f);
+  w->WriteVarU64(pauses.mark_slices);
+  w->WriteVarU64(pauses.pause_events);
+  for (auto f : kPercentiles) w->Write<double>(pauses.*f);
   w->WriteVarU64(alloc.alloc_calls);
   w->WriteVarU64(alloc.free_calls);
   w->WriteVarU64(alloc.bytes_requested);
@@ -70,54 +93,24 @@ ExecutorSnapshot ExecutorSnapshot::Decode(ByteReader* r) {
   ExecutorSnapshot s;
   s.gc_pause_ms = r->Read<double>();
   s.concurrent_gc_ms = r->Read<double>();
-  s.minor_gcs = r->ReadVarU64();
-  s.full_gcs = r->ReadVarU64();
-  s.oom_recoveries = r->ReadVarU64();
-  s.cached_bytes = r->ReadVarU64();
-  s.peak_cached_bytes = r->ReadVarU64();
-  s.swapped_bytes = r->ReadVarU64();
-  s.pressure_evictions = r->ReadVarU64();
-  s.tier.t0_resident_bytes = r->ReadVarU64();
-  s.tier.t1_resident_bytes = r->ReadVarU64();
-  s.tier.t2_resident_bytes = r->ReadVarU64();
-  s.tier.t1_peak_bytes = r->ReadVarU64();
-  s.tier.t0_hits = r->ReadVarU64();
-  s.tier.t1_hits = r->ReadVarU64();
-  s.tier.t2_hits = r->ReadVarU64();
-  s.tier.misses = r->ReadVarU64();
-  s.tier.demotes_to_t1 = r->ReadVarU64();
-  s.tier.demotes_to_t2 = r->ReadVarU64();
-  s.tier.promotes = r->ReadVarU64();
-  s.tier.admit_rejects = r->ReadVarU64();
+  for (auto f : kCounters) s.*f = r->ReadVarU64();
+  for (auto f : kTierCounters) s.tier.*f = r->ReadVarU64();
   s.tier.promote_p50_ms = r->Read<double>();
   s.tier.promote_p99_ms = r->Read<double>();
-  s.memory.total_bytes = r->ReadVarU64();
-  s.memory.storage_floor_bytes = r->ReadVarU64();
-  s.memory.exec_used = r->ReadVarU64();
-  s.memory.exec_peak = r->ReadVarU64();
-  s.memory.storage_used = r->ReadVarU64();
-  s.memory.storage_peak = r->ReadVarU64();
-  s.memory.borrowed_peak = r->ReadVarU64();
-  s.memory.denied_reservations = r->ReadVarU64();
-  s.memory.storage_reserved = r->ReadVarU64();
-  s.memory.demoted_blocks = r->ReadVarU64();
-  s.memory.spilled_blocks = r->ReadVarU64();
-  s.memory.page_bytes = r->ReadVarU64();
-  s.memory.heap_capacity = r->ReadVarU64();
-  s.memory.heap_used = r->ReadVarU64();
-  s.memory.heap_old_used = r->ReadVarU64();
-  s.mark_slices = r->ReadVarU64();
-  s.pause_events = r->ReadVarU64();
-  s.pause_p50_ms = r->Read<double>();
-  s.pause_p99_ms = r->Read<double>();
-  s.pause_max_ms = r->Read<double>();
-  s.slice_p50_ms = r->Read<double>();
-  s.slice_p99_ms = r->Read<double>();
-  s.slice_max_ms = r->Read<double>();
+  for (auto f : kMemoryFields) s.memory.*f = r->ReadVarU64();
+  s.pauses.mark_slices = r->ReadVarU64();
+  s.pauses.pause_events = r->ReadVarU64();
+  for (auto f : kPercentiles) s.pauses.*f = r->Read<double>();
   s.alloc.alloc_calls = r->ReadVarU64();
   s.alloc.free_calls = r->ReadVarU64();
   s.alloc.bytes_requested = r->ReadVarU64();
-  s.shuffle_bytes.resize(r->ReadVarU64());
+  // Each count is at least one varint byte, so a count past the bytes
+  // left is corrupt — never let it size an allocation.
+  const uint64_t n = r->ReadVarU64();
+  DECA_CHECK(n <= r->remaining())
+      << "snapshot shuffle count " << n << " exceeds the " << r->remaining()
+      << " bytes left";
+  s.shuffle_bytes.resize(n);
   for (auto& b : s.shuffle_bytes) b = r->ReadVarU64();
   return s;
 }

@@ -82,13 +82,10 @@ struct ClusterCounters {
   uint64_t rpc_messages = 0;
 };
 
-/// One executor's observability plane, reported by its daemon in every
-/// stage-done acknowledgment. The driver serves the SparkContext Total*
-/// getters from the latest snapshots, so bench/report output is
-/// identical to the in-process run (each daemon reports only its own
-/// executor; the sum across daemons equals the in-process sum).
-/// Job-level GC pause aggregate (SparkContext::TotalGcPauses): counters
-/// summed across executor heaps, percentiles composed by max.
+/// Job-level GC pause aggregate of one executor heap or of a whole job:
+/// mark-slice and stop-the-world pause counts, pause and slice latency
+/// percentiles. Merging sums the counters and takes the max of each
+/// percentile (the job-level tail is bounded by the worst executor).
 struct GcPauseAggregate {
   uint64_t mark_slices = 0;
   uint64_t pause_events = 0;
@@ -98,8 +95,17 @@ struct GcPauseAggregate {
   double slice_p50_ms = 0;
   double slice_p99_ms = 0;
   double slice_max_ms = 0;
+
+  void Add(const GcPauseAggregate& o);
 };
 
+/// One executor's observability plane: GC, cache, tier, memory-manager,
+/// pause and allocator counters. A daemon sends it in every stage-done
+/// acknowledgment; an in-process run builds one per executor from the
+/// live executors (SparkContext::ExecutorSnapshots). Either way the
+/// SparkContext folds them with Add into its Totals(), so bench/report
+/// output is identical across backends (each daemon reports only its own
+/// executor; the sum across daemons equals the in-process sum).
 struct ExecutorSnapshot {
   double gc_pause_ms = 0;
   double concurrent_gc_ms = 0;
@@ -113,24 +119,20 @@ struct ExecutorSnapshot {
   /// Block-store tier plane (per-tier residency, hits, transitions).
   TierCounters tier;
   memory::MemoryStats memory;
-  /// GC pause plane: mark-slice count, stop-the-world pause events, and
-  /// pause/slice latency percentiles of this executor's heap. The driver
-  /// sums the counters and composes percentiles by max across executors.
-  uint64_t mark_slices = 0;
-  uint64_t pause_events = 0;
-  double pause_p50_ms = 0;
-  double pause_p99_ms = 0;
-  double pause_max_ms = 0;
-  double slice_p50_ms = 0;
-  double slice_p99_ms = 0;
-  double slice_max_ms = 0;
+  /// GC pause plane of this executor's heap.
+  GcPauseAggregate pauses;
   /// Native-allocator plane: this executor's PageAllocator counters.
   alloc::AllocStats alloc;
-  /// Local shuffle-payload bytes per shuffle id (this executor's
-  /// deposits only; the driver sums across executors).
+  /// Local shuffle-payload bytes per shuffle id (a daemon's own deposits
+  /// only). Empty in-process, where one shuffle service serves every
+  /// executor and SparkContext::ShuffleTotalBytes reads it directly.
   std::vector<uint64_t> shuffle_bytes;
 
+  /// Merges `o` into this snapshot: counters (and per-executor peaks and
+  /// shuffle bytes) sum, latency percentiles take the max.
+  void Add(const ExecutorSnapshot& o);
   void Encode(ByteWriter* w) const;
+  /// Dies on a shuffle-byte count larger than the bytes left in `r`.
   static ExecutorSnapshot Decode(ByteReader* r);
 };
 

@@ -132,11 +132,11 @@ void StreamContext::RunEpochs(const EpochFn& per_epoch,
   const int base_epoch = std::min(9, opts_.epochs - 1);
   for (int e = 0; e < opts_.epochs; ++e) {
     OpenEpoch(e);
-    double gc0 = ctx_->TotalGcPauseMs();
+    double gc0 = ctx_->Totals().gc_pause_ms;
     per_epoch(e, *regions_.at(e));
     double reclaim_ms = 0;
     CloseEpoch(e, on_window, &reclaim_ms);
-    pause_ms_.Add((ctx_->TotalGcPauseMs() - gc0) + reclaim_ms);
+    pause_ms_.Add((ctx_->Totals().gc_pause_ms - gc0) + reclaim_ms);
     reclaim_ms_.Add(reclaim_ms);
     // The accounting identity must hold with all planes settled at every
     // epoch boundary — region charge/release is atomic as far as any

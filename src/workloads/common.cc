@@ -32,13 +32,13 @@ void ApplyMode(Mode mode, spark::SparkConfig* config) {
 }
 
 void FinalizeResult(spark::SparkContext* ctx, RunResult* result) {
-  result->gc_ms = ctx->TotalGcPauseMs();
-  result->concurrent_gc_ms = ctx->TotalConcurrentGcMs();
-  result->minor_gcs = ctx->TotalMinorGcs();
-  result->full_gcs = ctx->TotalFullGcs();
-  result->cached_mb =
-      static_cast<double>(ctx->PeakCachedMemoryBytes()) / (1 << 20);
-  result->swapped_mb = static_cast<double>(ctx->SwappedBytes()) / (1 << 20);
+  const spark::ExecutorSnapshot totals = ctx->Totals();
+  result->gc_ms = totals.gc_pause_ms;
+  result->concurrent_gc_ms = totals.concurrent_gc_ms;
+  result->minor_gcs = totals.minor_gcs;
+  result->full_gcs = totals.full_gcs;
+  result->cached_mb = static_cast<double>(totals.peak_cached_bytes) / (1 << 20);
+  result->swapped_mb = static_cast<double>(totals.swapped_bytes) / (1 << 20);
   const spark::TaskMetrics& t = ctx->metrics().tasks;
   result->shuffle_read_ms = t.shuffle_read_ms;
   result->shuffle_write_ms = t.shuffle_write_ms;
@@ -51,15 +51,17 @@ void FinalizeResult(spark::SparkContext* ctx, RunResult* result) {
   result->injected_faults = ctx->metrics().injected_faults;
   result->executor_wipes = ctx->metrics().executor_wipes;
   result->recomputed_blocks = ctx->metrics().recomputed_blocks;
-  result->pressure_evictions = ctx->TotalPressureEvictions();
-  result->oom_recoveries = ctx->TotalOomRecoveries();
-  result->denied_reservations = ctx->TotalDeniedReservations();
-  result->executor_memory = ctx->ExecutorMemorySnapshots();
+  result->pressure_evictions = totals.pressure_evictions;
+  result->oom_recoveries = totals.oom_recoveries;
+  result->denied_reservations = totals.memory.denied_reservations;
+  for (const spark::ExecutorSnapshot& s : ctx->ExecutorSnapshots()) {
+    result->executor_memory.push_back(s.memory);
+  }
   result->tier_active = ctx->config().t1_enabled();
-  result->tier = ctx->TotalTierCounters();
-  result->alloc = ctx->TotalAllocStats();
+  result->tier = totals.tier;
+  result->alloc = totals.alloc;
   result->alloc_active = result->alloc.alloc_calls > 0;
-  result->pauses = ctx->TotalGcPauses();
+  result->pauses = totals.pauses;
   if (ctx->net_stats() != nullptr) {
     result->net_active = true;
     result->net = ctx->net_stats()->Snapshot();

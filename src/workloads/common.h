@@ -83,7 +83,7 @@ struct RunResult {
   bool tier_active = false;
   spark::TierCounters tier;
 
-  // GC pause plane (schema v4): mark-slice / pause-event counts summed
+  // GC pause plane: mark-slice / pause-event counts summed
   // across executors, pause and slice latency percentiles composed by
   // max. mark_slices is deterministic at pause_budget_ms=0 (monolithic
   // marks record exactly one slice each).

@@ -411,7 +411,7 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   ctx.ResetMetrics();
 
   // ---- Query 1: filter scan over rankings.
-  double gc0 = ctx.TotalGcPauseMs();
+  double gc0 = ctx.Totals().gc_pause_ms;
   Stopwatch q1_sw;
   // Per-partition slots folded in partition order post-stage: identical
   // counts and float sums whether the stage ran sequentially or not.
@@ -469,7 +469,7 @@ SqlResult RunSqlQueries(const SqlParams& params) {
     }
   });
   result.q1_exec_ms = q1_sw.ElapsedMillis();
-  result.q1_gc_ms = ctx.TotalGcPauseMs() - gc0;
+  result.q1_gc_ms = ctx.Totals().gc_pause_ms - gc0;
   uint64_t q1_matches = 0;
   double q1_sum = 0;
   for (int p = 0; p < parts; ++p) {
@@ -480,7 +480,7 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   result.q1_rank_sum = q1_sum;
 
   // ---- Query 2: GroupBy aggregation over uservisits.
-  gc0 = ctx.TotalGcPauseMs();
+  gc0 = ctx.Totals().gc_pause_ms;
   Stopwatch q2_sw;
   int shuffle_id = ctx.shuffle()->RegisterShuffle(parts);
   bool byte_shuffle = params.engine != SqlEngine::kSparkRdd;
@@ -604,7 +604,7 @@ SqlResult RunSqlQueries(const SqlParams& params) {
   });
   ctx.shuffle()->Release(shuffle_id);
   result.q2_exec_ms = q2_sw.ElapsedMillis();
-  result.q2_gc_ms = ctx.TotalGcPauseMs() - gc0;
+  result.q2_gc_ms = ctx.Totals().gc_pause_ms - gc0;
   uint64_t groups = 0;
   double revenue = 0;
   for (int p = 0; p < parts; ++p) {

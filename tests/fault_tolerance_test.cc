@@ -286,7 +286,7 @@ TEST(FaultToleranceTest, GenuineOomDegradesToEvictionAndRetry) {
                              kPerBlock, &tc.metrics());
     }
   });
-  ASSERT_GT(ctx.CachedMemoryBytes(), 0u);
+  ASSERT_GT(ctx.Totals().cached_bytes, 0u);
 
   // A 5.8MB array cannot coexist with the pinned blocks in the 6MB old
   // gen: the allocation must be rescued by evicting the cache to disk plus
@@ -297,9 +297,9 @@ TEST(FaultToleranceTest, GenuineOomDegradesToEvictionAndRetry) {
                                        725000);
     EXPECT_NE(big, jvm::kNullRef);
   });
-  EXPECT_GT(ctx.TotalPressureEvictions(), 0u);
-  EXPECT_GE(ctx.TotalOomRecoveries(), 1u);
-  EXPECT_EQ(ctx.CachedMemoryBytes(), 0u);  // everything went to disk
+  EXPECT_GT(ctx.Totals().pressure_evictions, 0u);
+  EXPECT_GE(ctx.Totals().oom_recoveries, 1u);
+  EXPECT_EQ(ctx.Totals().cached_bytes, 0u);  // everything went to disk
 
   // The evicted blocks stream back from their swap files intact.
   uint64_t total_points = 0;

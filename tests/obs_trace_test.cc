@@ -232,13 +232,13 @@ RunReport SampleReport() {
   agg.count = 8;
   agg.total_ms = 39.5;
   run.spans.push_back(agg);
-  run.epochs.present = true;
-  run.epochs.epochs_run = 240;
-  run.epochs.windows = 60;
-  run.epochs.reclaimed_bytes = 987654321;
-  run.epochs.pause_p50_ms = 0.5;
-  run.epochs.pause_p99_ms = 2.25;
-  run.epochs.reclaim_p99_ms = 1.125;
+  // The streaming plane, as flat epoch.* metrics.
+  run.Add("epoch.epochs_run", 240, true);
+  run.Add("epoch.windows", 60, true);
+  run.Add("epoch.reclaimed_bytes", 987654321, true);
+  run.Add("epoch.pause_p50_ms", 0.5, false);
+  run.Add("epoch.pause_p99_ms", 2.25, false);
+  run.Add("epoch.reclaim_p99_ms", 1.125, false);
   rep.runs.push_back(run);
 
   ReportRun run2;
@@ -261,28 +261,65 @@ TEST(RunReportTest, JsonRoundTripPreservesEverything) {
   EXPECT_EQ(json, ToJson(back));
 }
 
-TEST(RunReportTest, FromJsonReadsOlderV5AllocAggregates) {
-  // v5 reports written with the arena's informational keys still parse;
-  // only the three counters survive.
+TEST(RunReportTest, FromJsonReadsV5AndIgnoresTypedBlocks) {
+  // v5 reports carried typed per-run blocks (here an "alloc" block with
+  // the arena's informational keys, and an "epochs" block) next to the
+  // flat metrics. They still parse; only metrics and spans survive.
   RunReport out;
   std::string err;
   ASSERT_TRUE(FromJson(
       R"({"schema":"deca-run-report","version":5,"bench":"x","runs":[
-          {"label":"WC/Deca","metrics":[],"alloc":{"arena":false,
+          {"label":"WC/Deca","metrics":[
+           {"name":"alloc.allocs","value":7,"exact":true}],
+           "spans":[],"alloc":{"arena":false,
            "alloc_calls":7,"free_calls":6,"bytes_requested":4096,
-           "slab_allocs":0,"slab_reuses":0,"freelist_steals":0,
-           "remote_frees":0,"direct_maps":0,"direct_unmaps":0,
-           "chunks_mapped":0,"hugepage_chunks":0,
-           "arena_bytes_reserved":0}}]})",
+           "slab_allocs":0,"chunks_mapped":0,"arena_bytes_reserved":0},
+           "epochs":{"epochs_run":3,"windows":1,"reclaimed_bytes":8,
+           "pause_p50_ms":0.5,"pause_p99_ms":1,"reclaim_p99_ms":1}}]})",
       &out, &err))
       << err;
   ASSERT_EQ(out.runs.size(), 1u);
-  const obs::AllocAgg& a = out.runs[0].alloc;
-  EXPECT_TRUE(a.present);
-  EXPECT_EQ(a.alloc_calls, 7u);
-  EXPECT_EQ(a.free_calls, 6u);
-  EXPECT_EQ(a.bytes_requested, 4096u);
-  EXPECT_EQ(ToJson(out).find("arena"), std::string::npos);
+  ASSERT_EQ(out.runs[0].metrics.size(), 1u);
+  EXPECT_EQ(out.runs[0].metrics[0].name, "alloc.allocs");
+  EXPECT_EQ(out.runs[0].metrics[0].value, 7.0);
+  const std::string json = ToJson(out);
+  EXPECT_NE(json.find("\"version\": 6"), std::string::npos);
+  for (const char* block : {"arena", "\"alloc\"", "\"epochs\""}) {
+    EXPECT_EQ(json.find(block), std::string::npos) << block;
+  }
+}
+
+TEST(RunReportTest, ValidateOrdersLatencyFamiliesAndAllocCounts) {
+  RunReport rep = SampleReport();
+  std::string err;
+  ASSERT_TRUE(Validate(rep, &err)) << err;
+  auto with = [&rep](const char* name, double value) {
+    RunReport r = rep;
+    r.runs[0].Add(name, value, false);
+    return r;
+  };
+  // Siblings differ only in the _p50/_p99/_max token: each non-negative,
+  // p50 <= p99 <= max. epoch.reclaim_p99_ms has no siblings and stands
+  // alone.
+  EXPECT_TRUE(Validate(with("epoch.pause_max_ms", 2.25), &err)) << err;
+  EXPECT_FALSE(Validate(with("epoch.pause_max_ms", 2.0), &err));
+  EXPECT_NE(err.find("epoch.pause_max_ms"), std::string::npos) << err;
+  EXPECT_FALSE(Validate(with("pauses.slice_p99_ms", -1.0), &err));
+  RunReport inverted = rep;
+  for (auto& m : inverted.runs[0].metrics) {
+    if (m.name == "epoch.pause_p50_ms") m.value = 3.0;  // > p99 (2.25)
+  }
+  EXPECT_FALSE(Validate(inverted, &err));
+  // A token must end the name or precede '_': "_p500" is no percentile.
+  EXPECT_TRUE(Validate(with("epoch.pause_p500_ms", 0.0), &err)) << err;
+
+  RunReport alloc = rep;
+  alloc.runs[0].Add("alloc.allocs", 7, true);
+  alloc.runs[0].Add("alloc.frees", 7, true);
+  EXPECT_TRUE(Validate(alloc, &err)) << err;
+  alloc.runs[0].metrics.back().value = 8;
+  EXPECT_FALSE(Validate(alloc, &err));
+  EXPECT_NE(err.find("alloc.frees"), std::string::npos) << err;
 }
 
 TEST(RunReportTest, FromJsonRejectsGarbageAndWrongSchema) {
@@ -391,35 +428,51 @@ TEST(RunReportDiffTest, MissingRunOrMetricFailsExtrasPass) {
 
 TEST(RunReportDiffTest, EpochCountersExactPausesThresholded) {
   RunReport base = SampleReport();
+  auto with = [&base](const char* name, double factor, double add) {
+    RunReport r = base;
+    for (auto& m : r.runs[0].metrics) {
+      if (m.name == name) m.value = m.value * factor + add;
+    }
+    return r;
+  };
 
   // Epoch counters are deterministic: any drift fails.
-  RunReport bad_windows = base;
-  bad_windows.runs[0].epochs.windows += 1;
-  auto d = DiffReports(base, bad_windows, DiffOptions{});
+  auto d = DiffReports(base, with("epoch.windows", 1, 1), DiffOptions{});
   ASSERT_FALSE(d.ok());
-  EXPECT_NE(d.failures[0].find("windows"), std::string::npos);
-
-  RunReport bad_bytes = base;
-  bad_bytes.runs[0].epochs.reclaimed_bytes -= 1;
-  EXPECT_FALSE(DiffReports(base, bad_bytes, DiffOptions{}).ok());
+  EXPECT_NE(d.failures[0].find("epoch.windows"), std::string::npos);
+  EXPECT_FALSE(
+      DiffReports(base, with("epoch.reclaimed_bytes", 1, -1), DiffOptions{})
+          .ok());
+  // ... also when only exact metrics are compared.
+  DiffOptions exact_only;
+  exact_only.exact_only = true;
+  EXPECT_FALSE(
+      DiffReports(base, with("epoch.epochs_run", 1, 1), exact_only).ok());
 
   // Pauses are wall times: gated by threshold + floor, regressions only.
-  RunReport slow = base;
-  slow.runs[0].epochs.pause_p99_ms = 5.0;  // 2.25 -> 5.0 fails
-  EXPECT_FALSE(DiffReports(base, slow, DiffOptions{}).ok());
-
-  RunReport mild = base;
-  mild.runs[0].epochs.pause_p99_ms *= 1.05;  // within threshold/floor
-  EXPECT_TRUE(DiffReports(base, mild, DiffOptions{}).ok());
-
-  RunReport better = base;
-  better.runs[0].epochs.pause_p99_ms *= 0.5;
-  EXPECT_TRUE(DiffReports(base, better, DiffOptions{}).ok());
+  EXPECT_FALSE(  // 2.25 -> 5.0 fails
+      DiffReports(base, with("epoch.pause_p99_ms", 0, 5.0), DiffOptions{})
+          .ok());
+  EXPECT_TRUE(  // within threshold/floor
+      DiffReports(base, with("epoch.pause_p99_ms", 1.05, 0), DiffOptions{})
+          .ok());
+  EXPECT_TRUE(
+      DiffReports(base, with("epoch.pause_p99_ms", 0.5, 0), DiffOptions{})
+          .ok());
+  EXPECT_TRUE(
+      DiffReports(base, with("epoch.pause_p99_ms", 0, 5.0), exact_only).ok());
 
   // A baseline with an epoch plane requires one in `current`.
   RunReport stripped = base;
-  stripped.runs[0].epochs = obs::EpochAgg{};
-  EXPECT_FALSE(DiffReports(base, stripped, DiffOptions{}).ok());
+  auto& metrics = stripped.runs[0].metrics;
+  metrics.erase(std::remove_if(metrics.begin(), metrics.end(),
+                               [](const obs::ReportMetric& m) {
+                                 return m.name.rfind("epoch.", 0) == 0;
+                               }),
+                metrics.end());
+  d = DiffReports(base, stripped, DiffOptions{});
+  ASSERT_FALSE(d.ok());
+  EXPECT_NE(d.failures[0].find("missing"), std::string::npos);
   // The reverse (baseline batch, current streaming) is growth: allowed.
   EXPECT_TRUE(DiffReports(stripped, base, DiffOptions{}).ok());
 }

@@ -128,7 +128,7 @@ TEST(SparkContextTest, TaskGcAttributed) {
     }
   });
   EXPECT_GT(ctx.metrics().tasks.gc_ms, 0.0);
-  EXPECT_GT(ctx.TotalMinorGcs(), 0u);
+  EXPECT_GT(ctx.Totals().minor_gcs, 0u);
 }
 
 class CacheTest : public ::testing::TestWithParam<StorageLevel> {};
