@@ -58,17 +58,22 @@ inline bool& TraceRequested() {
 
 /// Prints the effective engine configuration whenever it differs from the
 /// last one printed, so a bench log records which knobs (env or default)
-/// produced each block of its numbers.
+/// produced each block of its numbers. Benches call it with the config a
+/// run passes to its workload, after their own overrides and right before
+/// the run, so no line describes a config that no run used.
 inline void PrintEffectiveConfig(const spark::SparkConfig& cfg) {
   static std::string last;
   char line[256];
+  // Budgets below a whole MB (serve_cache sizes its own) print in KB.
+  size_t memory = cfg.executor_memory();
+  bool whole_mb = memory % (1u << 20) == 0;
   std::snprintf(
       line, sizeof(line),
-      "config: executors=%d threads=%d heap=%zuMB executor_memory=%zuMB "
+      "config: executors=%d threads=%d heap=%zuMB executor_memory=%zu%s "
       "storage_fraction=%.2f page=%uKB transport=%s dist=%s\n",
       cfg.num_executors, cfg.num_worker_threads, cfg.heap.heap_bytes >> 20,
-      cfg.executor_memory() >> 20, cfg.storage_fraction,
-      cfg.deca_page_bytes >> 10,
+      whole_mb ? memory >> 20 : memory >> 10, whole_mb ? "MB" : "KB",
+      cfg.storage_fraction, cfg.deca_page_bytes >> 10,
       spark::ShuffleTransportName(cfg.shuffle_transport),
       spark::DistModeName(cfg.dist_mode));
   std::string text = line;
@@ -89,12 +94,9 @@ inline void PrintEffectiveConfig(const spark::SparkConfig& cfg) {
                   spark::AdmitPolicyName(cfg.admit_policy));
     text += line;
   }
-  if (cfg.heap.pause_budget_ms > 0 ||
-      cfg.lifetime_source != spark::LifetimeSource::kStatic) {
-    std::snprintf(line, sizeof(line),
-                  "gc: pause_budget=%.2fms lifetime_source=%s\n",
-                  cfg.heap.pause_budget_ms,
-                  spark::LifetimeSourceName(cfg.lifetime_source));
+  if (cfg.heap.pause_budget_ms > 0) {
+    std::snprintf(line, sizeof(line), "gc: pause_budget=%.2fms\n",
+                  cfg.heap.pause_budget_ms);
     text += line;
   }
   if (text == last) return;
@@ -168,20 +170,11 @@ inline void PrintEffectiveStreamConfigOnce(const stream::StreamOptions& o) {
 ///                            re-admission policy for Gets served from
 ///                            T1/T2 (default second_access)
 ///
-/// Incremental marking & online lifetime profiling (src/jvm; the defaults
-/// keep the historical monolithic mark phases bit-identical):
+/// Incremental marking (src/jvm; the default keeps the historical
+/// monolithic mark phases bit-identical):
 ///   DECA_PAUSE_BUDGET_MS=MS  split STW mark phases into resumable slices
 ///                            of at most MS milliseconds (0 = monolithic);
 ///                            workload digests are unchanged either way
-///   DECA_LIFETIME_SOURCE=static|profiled|oracle
-///                            source of the size/lifetime classification
-///                            gating the Deca path (default static; the
-///                            profiled/oracle verdicts are cross-checked
-///                            against static, so results are identical)
-///   DECA_PROFILE_SAMPLE_BYTES=N
-///                            profiled-calibration sampling period in
-///                            allocated bytes (default 512)
-///   DECA_PROFILE_SEED=N      profiler sampling seed (default 1)
 inline spark::SparkConfig DefaultSpark(
     size_t heap_mb = 64,
     double storage_fraction = spark::SparkConfig().storage_fraction) {
@@ -251,19 +244,6 @@ inline spark::SparkConfig DefaultSpark(
   }
   cfg.heap.pause_budget_ms =
       EnvDouble("DECA_PAUSE_BUDGET_MS", cfg.heap.pause_budget_ms);
-  cfg.heap.profile_sample_bytes = static_cast<size_t>(
-      EnvU64("DECA_PROFILE_SAMPLE_BYTES", cfg.heap.profile_sample_bytes));
-  cfg.heap.profile_seed = EnvU64("DECA_PROFILE_SEED", cfg.heap.profile_seed);
-  std::string lifetime = EnvStr("DECA_LIFETIME_SOURCE", "static");
-  if (lifetime == "profiled") {
-    cfg.lifetime_source = spark::LifetimeSource::kProfiled;
-  } else if (lifetime == "oracle") {
-    cfg.lifetime_source = spark::LifetimeSource::kOracle;
-  } else if (lifetime != "static") {
-    std::fprintf(stderr,
-                 "unknown DECA_LIFETIME_SOURCE '%s', using static\n",
-                 lifetime.c_str());
-  }
   cfg.spill_dir = "/tmp/deca_bench_spill";
   // Structured tracing: on when a report/trace file was requested
   // (BenchReport) or forced via DECA_TRACE=1. Off by default — the task
@@ -271,7 +251,6 @@ inline spark::SparkConfig DefaultSpark(
   cfg.trace_enabled = TraceRequested() || EnvInt("DECA_TRACE", 0, 1) > 0;
   cfg.trace_ring_capacity =
       static_cast<uint32_t>(EnvU64("DECA_TRACE_RING", 1u << 15));
-  PrintEffectiveConfig(cfg);
   return cfg;
 }
 

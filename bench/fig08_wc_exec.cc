@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
       p.distinct_keys = keys;
       p.spark = DefaultSpark();
       p.mode = Mode::kSpark;
+      PrintEffectiveConfig(p.spark);
       WordCountResult spark = RunWordCount(p);
       p.mode = Mode::kDeca;
       WordCountResult deca = RunWordCount(p);

@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
       p.mode = mode;
       p.spark = DefaultSpark(64, 0.9);
       p.spark.deca_page_bytes = 256u << 10;  // fit 32KB records comfortably
+      PrintEffectiveConfig(p.spark);
       LrResult r = RunLogisticRegression(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun("LR/" + std::to_string(pts) + "pts/" + ModeName(mode),
@@ -51,6 +52,7 @@ int main(int argc, char** argv) {
       p.mode = mode;
       p.spark = DefaultSpark(64, 0.9);
       p.spark.deca_page_bytes = 256u << 10;
+      PrintEffectiveConfig(p.spark);
       KMeansResult r = RunKMeans(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun("KMeans/" + std::to_string(pts) + "pts/" +

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
       p.spark = DefaultSpark(64, 0.8);
       LrResult dummy;  // (unused; kept for symmetry with fig09_lr_exec)
       (void)dummy;
+      PrintEffectiveConfig(p.spark);
       KMeansResult r = RunKMeans(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::to_string(pts) + "pts/" + ModeName(mode), r.run);

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
       p.iterations = 10;
       p.mode = mode;
       p.spark = DefaultSpark(64, 0.9);
+      PrintEffectiveConfig(p.spark);
       LrResult r = RunLogisticRegression(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::to_string(pts) + "pts/" + ModeName(mode), r.run);

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
 
   for (Mode mode : {Mode::kSpark, Mode::kDeca}) {
     p.mode = mode;
+    PrintEffectiveConfig(p.spark);
     LrResult r = RunLogisticRegression(p);
     report.AddRun(ModeName(mode), r.run);
     std::printf("\n--- %s: exec=%.0fms gc=%.1fms (minor=%llu full=%llu)\n",

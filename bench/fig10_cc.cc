@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
       p.mode = mode;
       p.spark = DefaultSpark(64, 0.4);
       p.spark.partitions_per_executor = 4;
+      PrintEffectiveConfig(p.spark);
       ConnectedComponentsResult r = RunConnectedComponents(p);
       if (mode == Mode::kSpark) spark_ms = r.run.exec_ms;
       report.AddRun(std::string(g.name) + "/" + ModeName(mode), r.run);

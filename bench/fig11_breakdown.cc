@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     p.iterations = 10;
     p.mode = mode;
     p.spark = DefaultSpark(64, 0.9);
+    PrintEffectiveConfig(p.spark);
     LrResult r = RunLogisticRegression(p);
     faults.Add(r.run);
     AddBreakdown(&t, "LR-small", ModeName(mode), r.run.slowest_task);
@@ -52,6 +53,7 @@ int main(int argc, char** argv) {
     p.iterations = 10;
     p.mode = mode;
     p.spark = DefaultSpark(64, 0.9);
+    PrintEffectiveConfig(p.spark);
     LrResult r = RunLogisticRegression(p);
     faults.Add(r.run);
     AddBreakdown(&t, "LR-large", ModeName(mode), r.run.slowest_task);
@@ -65,6 +67,7 @@ int main(int argc, char** argv) {
     p.mode = mode;
     p.spark = DefaultSpark(64, 0.4);
     p.spark.partitions_per_executor = 4;
+    PrintEffectiveConfig(p.spark);
     PageRankResult r = RunPageRank(p);
     faults.Add(r.run);
     AddBreakdown(&t, "PR", ModeName(mode), r.run.slowest_task);

@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
     p.spark.executor_memory_bytes = static_cast<size_t>(
         std::max<uint64_t>(raw_bytes / 2, 256u << 10));
 
+    PrintEffectiveConfig(p.spark);
     ServeResult r = RunServeCache(p);
     report.AddRun(label, r.run);
     report.AddMetric("serve.queries", static_cast<double>(r.queries), true);

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     p.mode = v.mode;
     p.spark.heap.algorithm = v.algo;
+    PrintEffectiveConfig(p.spark);
     StreamResult r = RunStreamWordCount(p);
     faults.Add(r.run);
     last = r.run;

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
     p.distinct_keys = 200'000;
     p.spark = DefaultSpark();
     p.mode = Mode::kSpark;
+    PrintEffectiveConfig(p.spark);
     WordCountResult s = RunWordCount(p);
     p.mode = Mode::kDeca;
     WordCountResult d = RunWordCount(p);
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
     p.iterations = 10;
     p.spark = DefaultSpark(64, 0.9);
     p.mode = Mode::kSpark;
+    PrintEffectiveConfig(p.spark);
     LrResult s = RunLogisticRegression(p);
     p.mode = Mode::kDeca;
     LrResult d = RunLogisticRegression(p);
@@ -60,6 +62,7 @@ int main(int argc, char** argv) {
     p.iterations = 8;
     p.spark = DefaultSpark(64, 0.8);
     p.mode = Mode::kSpark;
+    PrintEffectiveConfig(p.spark);
     KMeansResult s = RunKMeans(p);
     p.mode = Mode::kDeca;
     KMeansResult d = RunKMeans(p);
@@ -73,6 +76,7 @@ int main(int argc, char** argv) {
     p.spark = DefaultSpark(64, 0.4);
     p.spark.partitions_per_executor = 4;
     p.mode = Mode::kSpark;
+    PrintEffectiveConfig(p.spark);
     PageRankResult s = RunPageRank(p);
     p.mode = Mode::kDeca;
     PageRankResult d = RunPageRank(p);
@@ -86,6 +90,7 @@ int main(int argc, char** argv) {
     p.spark = DefaultSpark(64, 0.4);
     p.spark.partitions_per_executor = 4;
     p.mode = Mode::kSpark;
+    PrintEffectiveConfig(p.spark);
     ConnectedComponentsResult s = RunConnectedComponents(p);
     p.mode = Mode::kDeca;
     ConnectedComponentsResult d = RunConnectedComponents(p);

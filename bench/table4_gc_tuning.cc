@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
     p.mode = mode;
     p.spark = DefaultSpark(64, storage_fraction);
     p.spark.heap.algorithm = algo;
+    PrintEffectiveConfig(p.spark);
     LrResult r = RunLogisticRegression(p);
     report.AddRun("LR/" + label, r.run);
     t.AddRow({"LR", label, Ms(r.run.exec_ms), Ms(r.run.gc_ms),
@@ -43,6 +44,7 @@ int main(int argc, char** argv) {
     p.mode = mode;
     p.spark = DefaultSpark(64, storage_fraction);
     p.spark.heap.algorithm = algo;
+    PrintEffectiveConfig(p.spark);
     PageRankResult r = RunPageRank(p);
     report.AddRun("PR/" + label, r.run);
     t.AddRow({"PR", label, Ms(r.run.exec_ms), Ms(r.run.gc_ms),

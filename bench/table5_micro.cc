@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
       p.spark = DefaultSpark(heap_mb, 0.9);
       p.spark.num_executors = 1;
       p.spark.partitions_per_executor = 1;
+      PrintEffectiveConfig(p.spark);
       LrResult r = RunLogisticRegression(p);
       report.AddRun("LR/" + std::to_string(heap_mb) + "MB/" + ModeName(mode),
                     r.run);
@@ -48,6 +49,7 @@ int main(int argc, char** argv) {
       p.spark = DefaultSpark(heap_mb, 0.4);
       p.spark.num_executors = 1;
       p.spark.partitions_per_executor = 1;
+      PrintEffectiveConfig(p.spark);
       PageRankResult r = RunPageRank(p);
       report.AddRun("PR/" + std::to_string(heap_mb) + "MB/" + ModeName(mode),
                     r.run);

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
     // Sized so even the object-form tables fully fit in memory, as in the
     // paper ("input tables are entirely cached in memory").
     p.spark = DefaultSpark(128, 0.9);
+    PrintEffectiveConfig(p.spark);
     SqlResult r = RunSqlQueries(p);
     report.AddRun(SqlEngineName(engine), r.run);
     t.AddRow({"Q1", SqlEngineName(engine), Ms(r.q1_exec_ms), Ms(r.q1_gc_ms),

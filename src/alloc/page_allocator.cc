@@ -81,32 +81,4 @@ Bytes::~Bytes() {
   if (pa_ != nullptr) pa_->NoteFree();
 }
 
-ScratchBuffer::ScratchBuffer(ScratchBuffer&& o) noexcept
-    : pa_(o.pa_), buf_(std::move(o.buf_)), cap_(std::exchange(o.cap_, 0)) {}
-
-ScratchBuffer& ScratchBuffer::operator=(ScratchBuffer&& o) noexcept {
-  if (this != &o) {
-    Release();
-    pa_ = o.pa_;
-    buf_ = std::move(o.buf_);
-    cap_ = std::exchange(o.cap_, 0);
-  }
-  return *this;
-}
-
-void ScratchBuffer::Reserve(size_t n) {
-  if (n <= cap_) return;
-  Release();
-  buf_.reset(new uint8_t[n]);
-  cap_ = n;
-  if (pa_ != nullptr) pa_->NoteAlloc(n);
-}
-
-void ScratchBuffer::Release() {
-  if (buf_ == nullptr) return;
-  if (pa_ != nullptr) pa_->NoteFree();
-  buf_.reset();
-  cap_ = 0;
-}
-
 }  // namespace deca::alloc

@@ -52,8 +52,8 @@ class PageAllocator {
   Block Allocate(size_t bytes);
   void Free(Block* block);
 
-  /// Counts an allocation made elsewhere (a buffer owned by Bytes,
-  /// ScratchBuffer or the heap) and its release.
+  /// Counts an allocation made elsewhere (a buffer owned by Bytes or the
+  /// heap) and its release.
   void NoteAlloc(size_t bytes);
   void NoteFree();
 
@@ -104,32 +104,6 @@ class Bytes {
 };
 
 using BytesPtr = std::shared_ptr<const Bytes>;
-
-/// Reusable grow-only scratch buffer for file I/O (spill-run merge
-/// records). Reserve discards contents; every (re)allocation is counted on
-/// the owning heap's PageAllocator when it has one.
-class ScratchBuffer {
- public:
-  explicit ScratchBuffer(PageAllocator* pa) : pa_(pa) {}
-  ~ScratchBuffer() { Release(); }
-
-  ScratchBuffer(const ScratchBuffer&) = delete;
-  ScratchBuffer& operator=(const ScratchBuffer&) = delete;
-  ScratchBuffer(ScratchBuffer&& o) noexcept;
-  ScratchBuffer& operator=(ScratchBuffer&& o) noexcept;
-
-  /// Ensures capacity >= n; existing contents are NOT preserved.
-  void Reserve(size_t n);
-  void Release();
-
-  uint8_t* data() { return buf_.get(); }
-  size_t capacity() const { return cap_; }
-
- private:
-  PageAllocator* pa_ = nullptr;
-  std::unique_ptr<uint8_t[]> buf_;
-  size_t cap_ = 0;
-};
 
 }  // namespace deca::alloc
 

@@ -1,6 +1,23 @@
 #include "cluster/job_spec.h"
 
+#include "common/logging.h"
+
 namespace deca::cluster {
+
+namespace {
+
+// Reads a one-byte enum and dies on a value past `last`, the enum's final
+// enumerator: a cast alone would let a corrupt spec pick an enumerator
+// that does not exist.
+template <typename E>
+E ReadEnum(ByteReader* r, E last) {
+  uint8_t v = r->Read<uint8_t>();
+  DECA_CHECK_LE(v, static_cast<uint8_t>(last))
+      << "job spec enum byte out of range";
+  return static_cast<E>(v);
+}
+
+}  // namespace
 
 void EncodeSparkConfig(const spark::SparkConfig& c, ByteWriter* w) {
   w->WriteVarI64(c.num_executors);
@@ -18,9 +35,6 @@ void EncodeSparkConfig(const spark::SparkConfig& c, ByteWriter* w) {
   w->Write<double>(c.heap.g1_live_threshold);
   w->Write<double>(c.heap.concurrent_pause_share);
   w->Write<double>(c.heap.pause_budget_ms);
-  w->WriteVarU64(c.heap.profile_sample_bytes);
-  w->WriteVarU64(c.heap.profile_seed);
-  w->Write<uint8_t>(static_cast<uint8_t>(c.lifetime_source));
 
   w->WriteVarU64(c.executor_memory_bytes);
   w->Write<double>(c.memory_fraction);
@@ -29,6 +43,10 @@ void EncodeSparkConfig(const spark::SparkConfig& c, ByteWriter* w) {
   w->Write<uint8_t>(static_cast<uint8_t>(c.cache_level));
   w->Write<uint8_t>(c.deca_shuffle ? 1 : 0);
   w->WriteVarU64(c.deca_page_bytes);
+
+  w->WriteVarI64(c.storage_tiers);
+  w->Write<double>(c.t1_fraction);
+  w->Write<uint8_t>(static_cast<uint8_t>(c.admit_policy));
 
   w->Write<uint8_t>(static_cast<uint8_t>(c.shuffle_transport));
   w->Write<uint8_t>(static_cast<uint8_t>(c.shuffle_wire_codec));
@@ -74,26 +92,27 @@ spark::SparkConfig DecodeSparkConfig(ByteReader* r) {
   c.heap.survivor_fraction = r->Read<double>();
   c.heap.tenure_threshold = static_cast<uint32_t>(r->ReadVarU64());
   c.heap.large_object_bytes = static_cast<size_t>(r->ReadVarU64());
-  c.heap.algorithm = static_cast<jvm::GcAlgorithm>(r->Read<uint8_t>());
+  c.heap.algorithm = ReadEnum(r, jvm::GcAlgorithm::kG1);
   c.heap.g1_region_bytes = static_cast<size_t>(r->ReadVarU64());
   c.heap.g1_ihop = r->Read<double>();
   c.heap.g1_live_threshold = r->Read<double>();
   c.heap.concurrent_pause_share = r->Read<double>();
   c.heap.pause_budget_ms = r->Read<double>();
-  c.heap.profile_sample_bytes = static_cast<size_t>(r->ReadVarU64());
-  c.heap.profile_seed = r->ReadVarU64();
-  c.lifetime_source = static_cast<spark::LifetimeSource>(r->Read<uint8_t>());
 
   c.executor_memory_bytes = static_cast<size_t>(r->ReadVarU64());
   c.memory_fraction = r->Read<double>();
   c.storage_fraction = r->Read<double>();
 
-  c.cache_level = static_cast<spark::StorageLevel>(r->Read<uint8_t>());
+  c.cache_level = ReadEnum(r, spark::StorageLevel::kDecaPages);
   c.deca_shuffle = r->Read<uint8_t>() != 0;
   c.deca_page_bytes = static_cast<uint32_t>(r->ReadVarU64());
 
-  c.shuffle_transport = static_cast<spark::ShuffleTransport>(r->Read<uint8_t>());
-  c.shuffle_wire_codec = static_cast<spark::ShuffleWireCodec>(r->Read<uint8_t>());
+  c.storage_tiers = static_cast<int>(r->ReadVarI64());
+  c.t1_fraction = r->Read<double>();
+  c.admit_policy = ReadEnum(r, spark::AdmitPolicy::kNever);
+
+  c.shuffle_transport = ReadEnum(r, spark::ShuffleTransport::kTcp);
+  c.shuffle_wire_codec = ReadEnum(r, spark::ShuffleWireCodec::kRecord);
   c.net_fetch_chunk_bytes = static_cast<uint32_t>(r->ReadVarU64());
   c.net_max_inflight_bytes = static_cast<uint32_t>(r->ReadVarU64());
   c.net_fetch_retries = static_cast<int>(r->ReadVarI64());
@@ -110,7 +129,7 @@ spark::SparkConfig DecodeSparkConfig(ByteReader* r) {
   c.fault.crash_wipe_stage = static_cast<int>(r->ReadVarI64());
   c.fault.crash_wipe_executor = static_cast<int>(r->ReadVarI64());
 
-  c.dist_mode = static_cast<spark::DistMode>(r->Read<uint8_t>());
+  c.dist_mode = ReadEnum(r, spark::DistMode::kProcess);
   c.cluster.heartbeat_interval_ms = static_cast<int>(r->ReadVarU64());
   c.cluster.heartbeat_miss_threshold = static_cast<int>(r->ReadVarI64());
   c.cluster.reconnect_probes = static_cast<int>(r->ReadVarI64());

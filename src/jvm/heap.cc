@@ -7,7 +7,6 @@
 
 #include "jvm/g1_collector.h"
 #include "jvm/gen_collector.h"
-#include "jvm/heap_profiler.h"
 #include "jvm/incremental_mark.h"
 #include "obs/trace.h"
 
@@ -120,10 +119,6 @@ void Heap::SatbLogOverwrite(ObjRef old_value) {
 
 void Heap::MarkerOnAllocate(ObjRef r) { active_marker_->OnAllocate(r); }
 
-void Heap::ProfilerOnAllocate(ObjRef r, uint32_t bytes) {
-  alloc_profiler_->OnAllocate(this, r, bytes);
-}
-
 void Heap::MaybeIncrementalTick(uint32_t bytes) {
   tick_bytes_ += bytes;
   if (tick_bytes_ < kIncrementalTickBytes) return;
@@ -204,7 +199,6 @@ ObjRef Heap::AllocateImpl(uint32_t class_id, uint32_t length,
   // The tick above may have completed the cycle, so re-check before
   // allocating black.
   if (active_marker_ != nullptr) MarkerOnAllocate(r);
-  if (alloc_profiler_ != nullptr) ProfilerOnAllocate(r, total);
   stats_.objects_allocated += 1;
   stats_.bytes_allocated += total;
   MaybeReportOccupancy();

@@ -68,14 +68,6 @@ struct HeapConfig {
   /// slices (SATB dirty-logging keeps them sound).
   double pause_budget_ms = 0.0;
 
-  /// Sampling allocation profiler: take one survival sample every this
-  /// many allocated bytes (0 = profiler disabled). Sampling is
-  /// deterministic: the first sample point is derived from profile_seed.
-  size_t profile_sample_bytes = 0;
-
-  /// Seed for the profiler's initial sampling offset.
-  uint64_t profile_seed = 1;
-
   /// Runtime wiring (never serialized; set by the owning Executor): when
   /// non-null the heap's backing buffer is counted on this allocator, and
   /// the spill and tier paths borrow it for their staging buffers. Null

@@ -29,9 +29,6 @@ inline constexpr uint32_t kInRemsetBit = 1u << 24;
 /// Set when the allocator granted the object 8 bytes of trailing slack to
 /// avoid leaving an unparsable sub-minimum hole (CMS free-list splits).
 inline constexpr uint32_t kSlack8Bit = 1u << 25;
-/// Set on objects picked by the sampling allocation profiler; cleared (and
-/// the survival observed) the first time the object is evacuated.
-inline constexpr uint32_t kSampledBit = 1u << 26;
 
 inline uint32_t MetaClassId(uint32_t meta) { return meta & kClassIdMask; }
 inline uint32_t MetaAge(uint32_t meta) { return (meta & kAgeMask) >> kAgeShift; }

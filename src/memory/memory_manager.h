@@ -11,8 +11,8 @@
 namespace deca::memory {
 
 /// The two arbitrated memory pools (Spark 1.6's UnifiedMemoryManager):
-/// execution (shuffle buffers, aggregation tables, sort-spill runs) and
-/// storage (cached RDD blocks).
+/// execution (shuffle buffers, aggregation tables) and storage (cached RDD
+/// blocks).
 enum class Pool : uint8_t { kExecution, kStorage };
 
 const char* PoolName(Pool p);
@@ -156,12 +156,6 @@ class ExecutorMemoryManager {
   /// denied reservation, so pressure is visible in metrics while callers
   /// (e.g. the block store) shed the overflow themselves right after.
   MemoryReservation Reserve(Pool pool, uint64_t bytes);
-
-  /// Probes whether the execution pool can take `bytes` more, evicting
-  /// storage down to the floor if that is what it takes. Does not charge.
-  /// A false return counts as a denied reservation (the sort-spill writer
-  /// spills on it).
-  bool TryExecutionRoom(uint64_t bytes);
 
   // -- Page charges (core::PageGroup hook, mutator thread) ------------------
 

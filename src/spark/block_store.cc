@@ -35,18 +35,6 @@ const char* AdmitPolicyName(AdmitPolicy p) {
   return "?";
 }
 
-const char* LifetimeSourceName(LifetimeSource s) {
-  switch (s) {
-    case LifetimeSource::kStatic:
-      return "static";
-    case LifetimeSource::kProfiled:
-      return "profiled";
-    case LifetimeSource::kOracle:
-      return "oracle";
-  }
-  return "?";
-}
-
 const char* ShuffleTransportName(ShuffleTransport t) {
   switch (t) {
     case ShuffleTransport::kLocal:

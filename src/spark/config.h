@@ -38,23 +38,6 @@ enum class AdmitPolicy {
 
 const char* AdmitPolicyName(AdmitPolicy p);
 
-/// Where the size/lifetime classification that gates the Deca decomposed
-/// path comes from (paper Section 3 vs the online ROLP-style profile).
-enum class LifetimeSource {
-  /// Static analysis over the workload's annotated UDT model + call graph
-  /// (analysis::GlobalClassifier) — the paper's approach and the default.
-  kStatic,
-  /// Online calibration: a scratch-heap profiling run summarized by
-  /// analysis::ProfiledClassifier. Workloads cross-check the profiled
-  /// verdict against the static one, so results stay bit-identical.
-  kProfiled,
-  /// Ground truth asserted by the workload author (skips both analyses;
-  /// the workload still checks it against the static verdict).
-  kOracle,
-};
-
-const char* LifetimeSourceName(LifetimeSource s);
-
 /// How shuffle chunks travel from map tasks to reducers.
 enum class ShuffleTransport {
   /// Direct in-memory deposit/fetch (the original single-process path).
@@ -131,9 +114,6 @@ struct SparkConfig {
   double t1_fraction = 0.5;
   /// Re-admission policy for Gets that land on T1/T2 blocks.
   AdmitPolicy admit_policy = AdmitPolicy::kOnSecondAccess;
-
-  /// Source of the size/lifetime classification gating the Deca path.
-  LifetimeSource lifetime_source = LifetimeSource::kStatic;
 
   /// True when the serialized off-heap tier is active.
   bool t1_enabled() const { return storage_tiers >= 3; }

@@ -1,11 +1,7 @@
 #include "spark/shuffle.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-
-#include "common/clock.h"
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -383,241 +379,6 @@ void ObjectGroupByBuffer::ForEach(
     jvm::ObjRef k = heap_->GetRefElem(keys(), i);
     if (k == jvm::kNullRef) continue;
     fn(k, heap_->GetRefElem(vals(), i), counts_[i]);
-  }
-}
-
-// -- DecaStaticHashShuffleBuffer ----------------------------------------------
-
-DecaStaticHashShuffleBuffer::DecaStaticHashShuffleBuffer(
-    jvm::Heap* heap, const ShuffleOps* ops, uint32_t page_bytes,
-    uint32_t initial_capacity)
-    : heap_(heap), ops_(ops), page_bytes_(page_bytes) {
-  CheckPowerOfTwo(initial_capacity);
-  DECA_CHECK_GT(ops->deca_key_bytes, 0u);
-  slot_bytes_ = static_cast<uint32_t>(
-      AlignUp(1 + ops->deca_key_bytes + ops->deca_value_bytes, 8));
-  slots_per_page_ = page_bytes_ / slot_bytes_;
-  DECA_CHECK_GT(slots_per_page_, 0u);
-  capacity_ = initial_capacity;
-  pages_ = MakeTable(capacity_);
-}
-
-std::shared_ptr<core::PageGroup> DecaStaticHashShuffleBuffer::MakeTable(
-    uint32_t capacity) {
-  auto table = std::make_shared<core::PageGroup>(heap_, page_bytes_);
-  uint32_t pages = (capacity + slots_per_page_ - 1) / slots_per_page_;
-  for (uint32_t i = 0; i < pages; ++i) {
-    // Materialize full pages so any slot offset resolves; fresh pages are
-    // zeroed by the allocator (occupancy tag 0 = empty).
-    table->Append(slots_per_page_ * slot_bytes_);
-  }
-  return table;
-}
-
-void DecaStaticHashShuffleBuffer::Insert(const uint8_t* key,
-                                         const uint8_t* value) {
-  if ((size_ + 1) * 10 > capacity_ * 7) Grow();
-  uint64_t h = ops_->deca_key_hash(key);
-  for (uint32_t probe = 0;; ++probe) {
-    uint32_t i = static_cast<uint32_t>((h + probe) & (capacity_ - 1));
-    uint8_t* slot = Slot(i);
-    if (slot[0] == 0) {
-      slot[0] = 1;
-      std::memcpy(slot + 1, key, ops_->deca_key_bytes);
-      std::memcpy(slot + 1 + ops_->deca_key_bytes, value,
-                  ops_->deca_value_bytes);
-      ++size_;
-      return;
-    }
-    if (std::memcmp(slot + 1, key, ops_->deca_key_bytes) == 0) {
-      ops_->deca_combine(slot + 1 + ops_->deca_key_bytes, value);
-      return;
-    }
-  }
-}
-
-void DecaStaticHashShuffleBuffer::Grow() {
-  uint32_t old_capacity = capacity_;
-  auto old_pages = pages_;
-  uint32_t old_spp = slots_per_page_;
-  capacity_ = old_capacity * 2;
-  pages_ = MakeTable(capacity_);
-  for (uint32_t i = 0; i < old_capacity; ++i) {
-    uint8_t* slot =
-        old_pages->Resolve({i / old_spp, (i % old_spp) * slot_bytes_});
-    if (slot[0] == 0) continue;
-    uint64_t h = ops_->deca_key_hash(slot + 1);
-    for (uint32_t probe = 0;; ++probe) {
-      uint32_t j = static_cast<uint32_t>((h + probe) & (capacity_ - 1));
-      uint8_t* dst = Slot(j);
-      if (dst[0] == 0) {
-        std::memcpy(dst, slot, slot_bytes_);
-        break;
-      }
-    }
-  }
-}
-
-void DecaStaticHashShuffleBuffer::ForEach(
-    const std::function<void(const uint8_t*)>& fn) const {
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    uint8_t* slot = Slot(i);
-    if (slot[0] != 0) fn(slot + 1);
-  }
-}
-
-// -- DecaSortSpillWriter --------------------------------------------------------
-
-DecaSortSpillWriter::DecaSortSpillWriter(jvm::Heap* heap, uint32_t page_bytes,
-                                         std::string spill_dir, Less less)
-    : heap_(heap),
-      page_bytes_(page_bytes),
-      mm_(heap->memory_manager()),
-      dir_(std::move(spill_dir)),
-      less_(std::move(less)),
-      pages_(std::make_shared<core::PageGroup>(heap, page_bytes)) {}
-
-DecaSortSpillWriter::~DecaSortSpillWriter() {
-  for (const auto& f : files_) std::remove(f.c_str());
-}
-
-void DecaSortSpillWriter::Append(const uint8_t* data, uint32_t bytes) {
-  // Spill is reservation-denial driven: before committing to a fresh
-  // page, probe the execution pool (which may first evict storage down to
-  // its floor). Denied -> sort and spill the current run, freeing its
-  // pages, then start the new run.
-  if (mm_ != nullptr && pages_->page_count() > 0 &&
-      pages_->NeedsNewPage(bytes) &&
-      !mm_->TryExecutionRoom(pages_->page_cost_bytes())) {
-    SpillCurrentRun();
-  }
-  core::SegPtr seg = pages_->Append(bytes);
-  std::memcpy(pages_->Resolve(seg), data, bytes);
-  entries_.emplace_back(seg, bytes);
-}
-
-void DecaSortSpillWriter::SpillCurrentRun() {
-  if (entries_.empty()) return;
-  std::sort(entries_.begin(), entries_.end(),
-            [&](const auto& a, const auto& b) {
-              return less_(pages_->Resolve(a.first),
-                           pages_->Resolve(b.first));
-            });
-  std::string path = dir_ + "/sortspill_" + std::to_string(files_.size()) +
-                     "_" + std::to_string(reinterpret_cast<uintptr_t>(this));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  DECA_CHECK(f != nullptr) << "cannot open spill file for writing: " << path
-                           << ": " << std::strerror(errno);
-  for (const auto& [seg, bytes] : entries_) {
-    // Decomposed bytes go to disk as-is, length-prefixed.
-    std::fwrite(&bytes, sizeof(bytes), 1, f);
-    std::fwrite(pages_->Resolve(seg), 1, bytes, f);
-    spilled_bytes_ += bytes + sizeof(bytes);
-  }
-  std::fclose(f);
-  files_.push_back(path);
-  entries_.clear();
-  pages_ = std::make_shared<core::PageGroup>(heap_, page_bytes_);
-}
-
-void DecaSortSpillWriter::Merge(
-    const std::function<void(const uint8_t*, uint32_t)>& fn,
-    double* spill_ms) {
-  Stopwatch sw;
-  // Sort the in-memory run.
-  std::sort(entries_.begin(), entries_.end(),
-            [&](const auto& a, const auto& b) {
-              return less_(pages_->Resolve(a.first),
-                           pages_->Resolve(b.first));
-            });
-  // One cursor per spilled run, each holding a single record in a
-  // scratch buffer counted on the heap's allocator.
-  struct Run {
-    std::FILE* file = nullptr;
-    alloc::ScratchBuffer record;
-    uint32_t size = 0;
-    bool Next() {
-      uint32_t bytes = 0;
-      if (std::fread(&bytes, sizeof(bytes), 1, file) != 1) return false;
-      record.Reserve(bytes);
-      size = bytes;
-      return std::fread(record.data(), 1, bytes, file) == bytes;
-    }
-  };
-  std::vector<Run> runs;
-  runs.reserve(files_.size());
-  for (size_t i = 0; i < files_.size(); ++i) {
-    runs.push_back(Run{nullptr,
-                       alloc::ScratchBuffer(heap_->page_allocator()), 0});
-    runs[i].file = std::fopen(files_[i].c_str(), "rb");
-    DECA_CHECK(runs[i].file != nullptr)
-        << "cannot open spill file for reading: " << files_[i] << ": "
-        << std::strerror(errno);
-    DECA_CHECK(runs[i].Next());
-  }
-  size_t mem_pos = 0;
-  std::vector<bool> run_alive(runs.size(), true);
-  size_t alive = runs.size();
-  while (alive > 0 || mem_pos < entries_.size()) {
-    // Pick the smallest head among spilled runs and the in-memory run.
-    int best = -1;
-    const uint8_t* best_rec = nullptr;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (!run_alive[i]) continue;
-      if (best_rec == nullptr || less_(runs[i].record.data(), best_rec)) {
-        best = static_cast<int>(i);
-        best_rec = runs[i].record.data();
-      }
-    }
-    bool take_memory = false;
-    if (mem_pos < entries_.size()) {
-      const uint8_t* mem_rec = pages_->Resolve(entries_[mem_pos].first);
-      if (best_rec == nullptr || less_(mem_rec, best_rec)) {
-        take_memory = true;
-      }
-    }
-    if (take_memory) {
-      fn(pages_->Resolve(entries_[mem_pos].first), entries_[mem_pos].second);
-      ++mem_pos;
-    } else {
-      Run& r = runs[static_cast<size_t>(best)];
-      fn(r.record.data(), r.size);
-      if (!r.Next()) {
-        run_alive[static_cast<size_t>(best)] = false;
-        --alive;
-      }
-    }
-  }
-  for (auto& r : runs) {
-    if (r.file != nullptr) std::fclose(r.file);
-  }
-  if (spill_ms != nullptr) *spill_ms += sw.ElapsedMillis();
-}
-
-// -- DecaSortShuffleBuffer ----------------------------------------------------
-
-DecaSortShuffleBuffer::DecaSortShuffleBuffer(jvm::Heap* heap,
-                                             uint32_t page_bytes)
-    : pages_(std::make_shared<core::PageGroup>(heap, page_bytes)) {}
-
-core::SegPtr DecaSortShuffleBuffer::Append(const uint8_t* data,
-                                           uint32_t bytes) {
-  core::SegPtr seg = pages_->Append(bytes);
-  std::memcpy(pages_->Resolve(seg), data, bytes);
-  entries_.emplace_back(seg, bytes);
-  return seg;
-}
-
-void DecaSortShuffleBuffer::SortAndVisit(
-    const std::function<bool(const uint8_t*, const uint8_t*)>& less,
-    const std::function<void(const uint8_t*, uint32_t)>& fn) {
-  std::sort(entries_.begin(), entries_.end(),
-            [&](const auto& a, const auto& b) {
-              return less(pages_->Resolve(a.first),
-                          pages_->Resolve(b.first));
-            });
-  for (const auto& [seg, bytes] : entries_) {
-    fn(pages_->Resolve(seg), bytes);
   }
 }
 

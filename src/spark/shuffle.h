@@ -234,110 +234,6 @@ class ObjectGroupByBuffer {
   jvm::ObjRef vals() const { return roots_.refs()[1]; }
 };
 
-/// The static-offset variant of the Deca hash shuffle buffer (paper
-/// Section 4.3.2): when both Key and Value are SFSTs, the pointer array is
-/// unnecessary — the hash table *is* the page group, with slot addresses
-/// computed arithmetically (slot i lives at page i / slots_per_page,
-/// offset (i % slots_per_page) * slot_bytes). Each slot carries a one-byte
-/// occupancy tag.
-class DecaStaticHashShuffleBuffer {
- public:
-  DecaStaticHashShuffleBuffer(jvm::Heap* heap, const ShuffleOps* ops,
-                              uint32_t page_bytes,
-                              uint32_t initial_capacity = 64);
-
-  void Insert(const uint8_t* key, const uint8_t* value);
-
-  /// Iterates entries as (key | value) byte spans.
-  void ForEach(const std::function<void(const uint8_t* entry)>& fn) const;
-
-  uint32_t size() const { return size_; }
-  uint64_t footprint_bytes() const { return pages_->footprint_bytes(); }
-
- private:
-  uint8_t* Slot(uint32_t i) const {
-    return pages_->Resolve(
-        {i / slots_per_page_, (i % slots_per_page_) * slot_bytes_});
-  }
-  /// Builds a fully-materialized page group of `capacity` zeroed slots.
-  std::shared_ptr<core::PageGroup> MakeTable(uint32_t capacity);
-  void Grow();
-
-  jvm::Heap* heap_;
-  const ShuffleOps* ops_;
-  uint32_t page_bytes_;
-  uint32_t slot_bytes_;       // 1 (occupancy) + key + value, 8-aligned
-  uint32_t slots_per_page_;
-  uint32_t capacity_;
-  uint32_t size_ = 0;
-  std::shared_ptr<core::PageGroup> pages_;
-};
-
-/// Sort-based shuffle with disk spilling (paper Appendix C): records
-/// accumulate in a page group charged to the execution pool; when the
-/// executor's memory manager denies the next page (no execution room even
-/// after evicting storage to its floor) the run is sorted and spilled to
-/// a file. The final pass streams a k-way merge of all spilled runs plus
-/// the in-memory run, holding only one record per run in memory (the
-/// paper's "small memory space, normally only one page" merge). A heap
-/// without a memory manager never spills before Merge.
-class DecaSortSpillWriter {
- public:
-  using Less = std::function<bool(const uint8_t*, const uint8_t*)>;
-
-  DecaSortSpillWriter(jvm::Heap* heap, uint32_t page_bytes,
-                      std::string spill_dir, Less less);
-  ~DecaSortSpillWriter();
-
-  /// Appends one record; may sort + spill the current run to disk.
-  void Append(const uint8_t* data, uint32_t bytes);
-
-  /// Merges all runs in sorted order into `fn`. `spill_ms` (optional)
-  /// accumulates disk time.
-  void Merge(const std::function<void(const uint8_t*, uint32_t)>& fn,
-             double* spill_ms = nullptr);
-
-  uint32_t spill_count() const { return static_cast<uint32_t>(files_.size()); }
-  uint64_t spilled_bytes() const { return spilled_bytes_; }
-
- private:
-  void SpillCurrentRun();
-
-  jvm::Heap* heap_;
-  uint32_t page_bytes_;
-  memory::ExecutorMemoryManager* mm_;  // may be null
-  std::string dir_;
-  Less less_;
-  std::shared_ptr<core::PageGroup> pages_;
-  std::vector<std::pair<core::SegPtr, uint32_t>> entries_;
-  std::vector<std::string> files_;
-  uint64_t spilled_bytes_ = 0;
-};
-
-/// Sort-based shuffle buffer, Deca mode: records append to a page group
-/// and a native pointer array is sorted by key (paper Section 4.2 case
-/// (1) — references die only when the buffer is released).
-class DecaSortShuffleBuffer {
- public:
-  DecaSortShuffleBuffer(jvm::Heap* heap, uint32_t page_bytes);
-
-  /// Appends a record segment; `bytes` must embed everything needed
-  /// downstream.
-  core::SegPtr Append(const uint8_t* data, uint32_t bytes);
-
-  /// Sorts the pointer array by `less` over the segment bytes and iterates
-  /// in order.
-  void SortAndVisit(
-      const std::function<bool(const uint8_t*, const uint8_t*)>& less,
-      const std::function<void(const uint8_t*, uint32_t bytes)>& fn);
-
-  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
-
- private:
-  std::shared_ptr<core::PageGroup> pages_;
-  std::vector<std::pair<core::SegPtr, uint32_t>> entries_;  // (seg, bytes)
-};
-
 }  // namespace deca::spark
 
 #endif  // DECA_SPARK_SHUFFLE_H_

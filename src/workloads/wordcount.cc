@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "analysis/global_classifier.h"
-#include "analysis/profiled_classifier.h"
 #include "cluster/scoped_job.h"
 #include "common/clock.h"
 #include "common/logging.h"
@@ -111,30 +110,6 @@ SizeType StaticTupleSizeType() {
 #pragma GCC diagnostic pop
 #endif
 
-/// Online size-type of the Tuple2 record: calibrates the sampling
-/// allocation profiler on a scratch heap allocating the same record graph
-/// the object-mode map stage builds (tuple + two boxed longs).
-SizeType ProfiledTupleSizeType(jvm::ClassRegistry* registry,
-                               uint32_t tuple2_cls,
-                               const jvm::HeapConfig& hc) {
-  analysis::CalibrationOptions opts;
-  if (hc.profile_sample_bytes > 0) opts.sample_bytes = hc.profile_sample_bytes;
-  opts.seed = hc.profile_seed;
-  analysis::ProfiledClassifier prof = analysis::CalibrateProfile(
-      registry, opts, [tuple2_cls](jvm::Heap* h) -> ObjRef {
-        HandleScope scope(h);
-        jvm::Handle key = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        jvm::Handle one = scope.Make(
-            h->AllocateInstance(h->registry()->boxed_long_class()));
-        ObjRef tuple = h->AllocateInstance(tuple2_cls);
-        h->SetRefField(tuple, 0, key.get());
-        h->SetRefField(tuple, 4, one.get());
-        return tuple;
-      });
-  return prof.Classify(tuple2_cls);
-}
-
 }  // namespace
 
 WordCountResult RunWordCount(const WordCountParams& params) {
@@ -148,21 +123,9 @@ WordCountResult RunWordCount(const WordCountParams& params) {
 
   bool deca = params.mode == Mode::kDeca;
   if (deca) {
-    // The optimizer's verdict gates the decomposed path. The static proof
-    // always runs; under DECA_LIFETIME_SOURCE=profiled the online verdict
-    // must agree with it before it may stand in (so executor heaps and
-    // digests are bit-identical across sources), and oracle asserts the
-    // author's ground truth against the same proof.
-    SizeType st = StaticTupleSizeType();
-    DECA_CHECK(st == SizeType::kStaticFixed)
+    // The optimizer's static verdict gates the decomposed path.
+    DECA_CHECK(StaticTupleSizeType() == SizeType::kStaticFixed)
         << "WordCount Tuple2 must classify as SFST";
-    if (cfg.lifetime_source == spark::LifetimeSource::kProfiled) {
-      SizeType online =
-          ProfiledTupleSizeType(ctx.registry(), types.tuple2_cls, cfg.heap);
-      DECA_CHECK(online == st)
-          << "profiled Tuple2 verdict " << analysis::SizeTypeName(online)
-          << " disagrees with static " << analysis::SizeTypeName(st);
-    }
   }
   // Heap profiling needs the mutating heap in this process; in process
   // mode executor 0's mutator lives in a daemon, so the profile is off.

@@ -11,8 +11,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
+#include "cluster/job_spec.h"
 #include "common/bytes.h"
 #include "fault/fault_config.h"
 #include "spark/config.h"
@@ -62,8 +64,11 @@ workloads::WordCountResult Wc(spark::DistMode mode, int threads,
   return workloads::RunWordCount(p);
 }
 
+/// `tiered` turns on the serialized off-heap tier (T1) under a budget the
+/// cached points overflow, so blocks demote to T1, cascade past its cap to
+/// disk and are re-admitted on access.
 workloads::LrResult Lr(spark::DistMode mode, int threads,
-                       const fault::FaultConfig& fc) {
+                       const fault::FaultConfig& fc, bool tiered = false) {
   workloads::MlParams p;
   p.dims = 10;
   p.num_points = 10000;
@@ -71,6 +76,12 @@ workloads::LrResult Lr(spark::DistMode mode, int threads,
   p.mode = workloads::Mode::kSpark;
   p.spark = Config(mode, threads);
   p.spark.fault = fc;
+  if (tiered) {
+    p.spark.executor_memory_bytes = 512u << 10;
+    p.spark.storage_tiers = 3;
+    p.spark.t1_fraction = 0.25;
+    p.spark.admit_policy = spark::AdmitPolicy::kAlways;
+  }
   return workloads::RunLogisticRegression(p);
 }
 
@@ -182,6 +193,26 @@ TEST(ClusterDistTest, LrWeightsBitIdenticalAcrossBackends) {
   }
 }
 
+// Tier settings travel in the job spec: every daemon runs the same
+// three-tier store, with the same T1 cap and admission policy, as the
+// in-process executors.
+TEST(ClusterDistTest, TieredStoreMatchesAcrossBackends) {
+  fault::FaultConfig fc;
+  fc.seed = TestSeed();
+  workloads::LrResult base = Lr(spark::DistMode::kInProcess, 0, fc, true);
+  EXPECT_TRUE(base.run.tier_active);
+  EXPECT_GT(base.run.tier.demotes_to_t1, 0u);
+  EXPECT_GT(base.run.tier.promotes, 0u);
+
+  workloads::LrResult proc = Lr(spark::DistMode::kProcess, 0, fc, true);
+  ASSERT_EQ(proc.weights.size(), base.weights.size());
+  for (size_t j = 0; j < base.weights.size(); ++j) {
+    EXPECT_EQ(proc.weights[j], base.weights[j]) << "dim " << j;
+  }
+  ExpectSameRun(proc.run, base.run);
+  ASSERT_TRUE(proc.run.dist_active);
+}
+
 // The tentpole recovery claim: in process mode a scripted crash-wipe is a
 // real SIGKILL of the daemon. The driver must detect the death through
 // missed heartbeats + failed reconnect probes, respawn the next
@@ -215,6 +246,158 @@ TEST(ClusterDistTest, CrashWipeIsARealSigkillAndRespawnPerSeed) {
     // Death was established the honest way: probes ran and failed.
     EXPECT_GT(proc.run.cluster.heartbeat_misses, 0u);
     EXPECT_GT(proc.run.cluster.reconnect_probes, 0u);
+  }
+}
+
+// Every serialized SparkConfig field set to a value other than its default.
+spark::SparkConfig FullConfig() {
+  spark::SparkConfig c;
+  c.num_executors = 3;
+  c.partitions_per_executor = 5;
+  c.num_worker_threads = 2;
+  c.heap.heap_bytes = 48u << 20;
+  c.heap.young_fraction = 0.3;
+  c.heap.survivor_fraction = 0.2;
+  c.heap.tenure_threshold = 7;
+  c.heap.large_object_bytes = 64u << 10;
+  c.heap.algorithm = jvm::GcAlgorithm::kG1;
+  c.heap.g1_region_bytes = 1u << 20;
+  c.heap.g1_ihop = 0.5;
+  c.heap.g1_live_threshold = 0.75;
+  c.heap.concurrent_pause_share = 0.2;
+  c.heap.pause_budget_ms = 1.5;
+  c.executor_memory_bytes = 12u << 20;
+  c.memory_fraction = 0.6;
+  c.storage_fraction = 0.35;
+  c.cache_level = spark::StorageLevel::kDecaPages;
+  c.deca_shuffle = true;
+  c.deca_page_bytes = 32u << 10;
+  c.storage_tiers = 3;
+  c.t1_fraction = 0.3;
+  c.admit_policy = spark::AdmitPolicy::kNever;
+  c.shuffle_transport = spark::ShuffleTransport::kTcp;
+  c.shuffle_wire_codec = spark::ShuffleWireCodec::kRecord;
+  c.net_fetch_chunk_bytes = 32u << 10;
+  c.net_max_inflight_bytes = 128u << 10;
+  c.net_fetch_retries = 5;
+  c.net_latency_us = 7;
+  c.net_bandwidth_mbps = 100;
+  c.spill_dir = "/tmp/deca_spec_test";
+  c.max_task_failures = 6;
+  c.fault.seed = 99;
+  c.fault.task_failure_prob = 0.1;
+  c.fault.fetch_failure_prob = 0.2;
+  c.fault.oom_failure_prob = 0.3;
+  c.fault.crash_wipe_stage = 2;
+  c.fault.crash_wipe_executor = 1;
+  c.dist_mode = spark::DistMode::kProcess;
+  c.cluster.heartbeat_interval_ms = 50;
+  c.cluster.heartbeat_miss_threshold = 4;
+  c.cluster.reconnect_probes = 5;
+  c.cluster.retry_backoff_base_ms = 7;
+  c.cluster.rpc_deadline_ms = 900;
+  c.cluster.connect_attempts = 9;
+  c.cluster.executord_path = "/opt/deca/executord";
+  c.cluster.test_suppress_heartbeats_executor = 1;
+  c.cluster.test_suppress_heartbeats_count = 3;
+  c.trace_enabled = true;
+  c.trace_ring_capacity = 1024;
+  return c;
+}
+
+spark::SparkConfig RoundTrip(const spark::SparkConfig& c) {
+  ByteWriter w;
+  cluster::EncodeSparkConfig(c, &w);
+  ByteReader r(w.data(), w.size());
+  spark::SparkConfig back = cluster::DecodeSparkConfig(&r);
+  EXPECT_TRUE(r.AtEnd());
+  return back;
+}
+
+TEST(JobSpecCodecTest, SparkConfigRoundTripsEveryField) {
+  const spark::SparkConfig c = FullConfig();
+  const spark::SparkConfig b = RoundTrip(c);
+  EXPECT_EQ(b.num_executors, c.num_executors);
+  EXPECT_EQ(b.partitions_per_executor, c.partitions_per_executor);
+  EXPECT_EQ(b.num_worker_threads, c.num_worker_threads);
+  EXPECT_EQ(b.heap.heap_bytes, c.heap.heap_bytes);
+  EXPECT_EQ(b.heap.young_fraction, c.heap.young_fraction);
+  EXPECT_EQ(b.heap.survivor_fraction, c.heap.survivor_fraction);
+  EXPECT_EQ(b.heap.tenure_threshold, c.heap.tenure_threshold);
+  EXPECT_EQ(b.heap.large_object_bytes, c.heap.large_object_bytes);
+  EXPECT_EQ(b.heap.algorithm, c.heap.algorithm);
+  EXPECT_EQ(b.heap.g1_region_bytes, c.heap.g1_region_bytes);
+  EXPECT_EQ(b.heap.g1_ihop, c.heap.g1_ihop);
+  EXPECT_EQ(b.heap.g1_live_threshold, c.heap.g1_live_threshold);
+  EXPECT_EQ(b.heap.concurrent_pause_share, c.heap.concurrent_pause_share);
+  EXPECT_EQ(b.heap.pause_budget_ms, c.heap.pause_budget_ms);
+  EXPECT_EQ(b.executor_memory_bytes, c.executor_memory_bytes);
+  EXPECT_EQ(b.memory_fraction, c.memory_fraction);
+  EXPECT_EQ(b.storage_fraction, c.storage_fraction);
+  EXPECT_EQ(b.cache_level, c.cache_level);
+  EXPECT_EQ(b.deca_shuffle, c.deca_shuffle);
+  EXPECT_EQ(b.deca_page_bytes, c.deca_page_bytes);
+  EXPECT_EQ(b.storage_tiers, c.storage_tiers);
+  EXPECT_EQ(b.t1_fraction, c.t1_fraction);
+  EXPECT_EQ(b.admit_policy, c.admit_policy);
+  EXPECT_EQ(b.shuffle_transport, c.shuffle_transport);
+  EXPECT_EQ(b.shuffle_wire_codec, c.shuffle_wire_codec);
+  EXPECT_EQ(b.net_fetch_chunk_bytes, c.net_fetch_chunk_bytes);
+  EXPECT_EQ(b.net_max_inflight_bytes, c.net_max_inflight_bytes);
+  EXPECT_EQ(b.net_fetch_retries, c.net_fetch_retries);
+  EXPECT_EQ(b.net_latency_us, c.net_latency_us);
+  EXPECT_EQ(b.net_bandwidth_mbps, c.net_bandwidth_mbps);
+  EXPECT_EQ(b.spill_dir, c.spill_dir);
+  EXPECT_EQ(b.max_task_failures, c.max_task_failures);
+  EXPECT_EQ(b.fault.seed, c.fault.seed);
+  EXPECT_EQ(b.fault.task_failure_prob, c.fault.task_failure_prob);
+  EXPECT_EQ(b.fault.fetch_failure_prob, c.fault.fetch_failure_prob);
+  EXPECT_EQ(b.fault.oom_failure_prob, c.fault.oom_failure_prob);
+  EXPECT_EQ(b.fault.crash_wipe_stage, c.fault.crash_wipe_stage);
+  EXPECT_EQ(b.fault.crash_wipe_executor, c.fault.crash_wipe_executor);
+  EXPECT_EQ(b.dist_mode, c.dist_mode);
+  EXPECT_EQ(b.cluster.heartbeat_interval_ms, c.cluster.heartbeat_interval_ms);
+  EXPECT_EQ(b.cluster.heartbeat_miss_threshold,
+            c.cluster.heartbeat_miss_threshold);
+  EXPECT_EQ(b.cluster.reconnect_probes, c.cluster.reconnect_probes);
+  EXPECT_EQ(b.cluster.retry_backoff_base_ms, c.cluster.retry_backoff_base_ms);
+  EXPECT_EQ(b.cluster.rpc_deadline_ms, c.cluster.rpc_deadline_ms);
+  EXPECT_EQ(b.cluster.connect_attempts, c.cluster.connect_attempts);
+  EXPECT_EQ(b.cluster.executord_path, c.cluster.executord_path);
+  EXPECT_EQ(b.cluster.test_suppress_heartbeats_executor,
+            c.cluster.test_suppress_heartbeats_executor);
+  EXPECT_EQ(b.cluster.test_suppress_heartbeats_count,
+            c.cluster.test_suppress_heartbeats_count);
+  EXPECT_EQ(b.trace_enabled, c.trace_enabled);
+  EXPECT_EQ(b.trace_ring_capacity, c.trace_ring_capacity);
+}
+
+// A byte past an enum's last enumerator (what a corrupt spec would carry)
+// is fatal on decode rather than cast into a value that does not exist.
+TEST(JobSpecCodecDeathTest, OutOfRangeEnumByteIsFatal) {
+  using Corrupt = void (*)(spark::SparkConfig*);
+  for (Corrupt corrupt : std::initializer_list<Corrupt>{
+           [](spark::SparkConfig* c) {
+             c->heap.algorithm = static_cast<jvm::GcAlgorithm>(3);
+           },
+           [](spark::SparkConfig* c) {
+             c->cache_level = static_cast<spark::StorageLevel>(3);
+           },
+           [](spark::SparkConfig* c) {
+             c->admit_policy = static_cast<spark::AdmitPolicy>(3);
+           },
+           [](spark::SparkConfig* c) {
+             c->shuffle_transport = static_cast<spark::ShuffleTransport>(3);
+           },
+           [](spark::SparkConfig* c) {
+             c->shuffle_wire_codec = static_cast<spark::ShuffleWireCodec>(3);
+           },
+           [](spark::SparkConfig* c) {
+             c->dist_mode = static_cast<spark::DistMode>(2);
+           }}) {
+    spark::SparkConfig c;
+    corrupt(&c);
+    EXPECT_DEATH(RoundTrip(c), "enum byte out of range");
   }
 }
 

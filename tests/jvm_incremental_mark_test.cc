@@ -1,5 +1,4 @@
-// Correctness of the resumable SATB mark cycle (jvm/incremental_mark.h)
-// and determinism of the sampling allocation profiler (jvm/heap_profiler.h).
+// Correctness of the resumable SATB mark cycle (jvm/incremental_mark.h).
 //
 // The central property: a sliced mark with mutator progress between the
 // slices — reference overwrites and fresh allocations — must produce the
@@ -20,7 +19,6 @@
 #include "common/random.h"
 #include "jvm/class_registry.h"
 #include "jvm/heap.h"
-#include "jvm/heap_profiler.h"
 #include "jvm/incremental_mark.h"
 
 namespace deca::jvm {
@@ -296,73 +294,6 @@ TEST(IncrementalMarkTest, CrashWipeAbandonsActiveCycle) {
     EXPECT_EQ(GcIsMarkedIn(heap->GcWordOf(r), 32), reachable.count(r) != 0);
   }
   heap->RemoveRootProvider(&g2.roots);
-}
-
-/// Runs a fixed allocation/collection schedule with a profiler attached
-/// and returns its site table.
-std::map<uint32_t, AllocationSiteProfiler::SiteStats> ProfileOnce(
-    uint64_t profiler_seed) {
-  ClassRegistry registry;
-  Classes cls = RegisterClasses(&registry);
-  auto heap = MakeHeap(&registry, GcAlgorithm::kParallelScavenge, 4u << 20);
-  AllocationSiteProfiler profiler(/*sample_bytes=*/256, profiler_seed);
-  heap->SetAllocProfiler(&profiler);
-
-  VectorRootProvider retained;
-  heap->AddRootProvider(&retained);
-  Rng rng(3);
-  for (int i = 0; i < 4000; ++i) {
-    HandleScope scope(heap.get());
-    ObjRef r;
-    uint64_t kind = rng.NextBounded(3);
-    if (kind == 0) {
-      r = heap->AllocateArray(cls.ref_array,
-                              1 + static_cast<uint32_t>(rng.NextBounded(8)));
-    } else if (kind == 1) {
-      r = heap->AllocateInstance(cls.pair);
-    } else {
-      r = heap->AllocateInstance(cls.node);
-    }
-    if (i % 7 == 0) retained.refs().push_back(r);
-    if (i % 1000 == 999) heap->CollectMinor();
-  }
-  heap->CollectMinor();
-  heap->SetAllocProfiler(nullptr);
-  heap->RemoveRootProvider(&retained);
-  EXPECT_GT(profiler.total_sampled(), 0u);
-  return profiler.sites();
-}
-
-TEST(AllocationProfilerTest, SameSeedSameSiteTable) {
-  auto a = ProfileOnce(17);
-  auto b = ProfileOnce(17);
-  ASSERT_EQ(a.size(), b.size());
-  for (auto ita = a.begin(), itb = b.begin(); ita != a.end(); ++ita, ++itb) {
-    EXPECT_EQ(ita->first, itb->first);
-    EXPECT_EQ(ita->second.sampled, itb->second.sampled);
-    EXPECT_EQ(ita->second.observed, itb->second.observed);
-    EXPECT_EQ(ita->second.survived, itb->second.survived);
-    EXPECT_EQ(ita->second.promoted, itb->second.promoted);
-    EXPECT_EQ(ita->second.bytes, itb->second.bytes);
-    EXPECT_EQ(ita->second.size_min, itb->second.size_min);
-    EXPECT_EQ(ita->second.size_max, itb->second.size_max);
-  }
-}
-
-TEST(AllocationProfilerTest, ObservesSurvivorsAcrossMinorCollections) {
-  auto sites = ProfileOnce(17);
-  uint64_t observed = 0;
-  uint64_t sampled = 0;
-  for (const auto& [cls_id, s] : sites) {
-    sampled += s.sampled;
-    observed += s.observed;
-    EXPECT_LE(s.observed, s.sampled);
-    EXPECT_EQ(s.observed, s.survived + s.promoted);
-    EXPECT_LE(s.size_min, s.size_max);
-  }
-  EXPECT_GT(sampled, 0u);
-  // Every 7th allocation is retained, so survivors must be observed.
-  EXPECT_GT(observed, 0u);
 }
 
 }  // namespace

@@ -400,31 +400,6 @@ TEST(GroupByBufferTest, GroupsAllValues) {
   for (const auto& [k, c] : group_sizes) EXPECT_EQ(c, 30) << "key " << k;
 }
 
-TEST(DecaSortBufferTest, SortsByKey) {
-  SparkContext ctx(SmallConfig());
-  jvm::Heap* h = ctx.executor(0)->heap();
-  DecaSortShuffleBuffer buf(h, 4096);
-  Rng rng(11);
-  std::vector<int64_t> keys;
-  for (int i = 0; i < 500; ++i) {
-    int64_t k = static_cast<int64_t>(rng.NextBounded(100000));
-    keys.push_back(k);
-    uint8_t rec[8];
-    StoreRaw<int64_t>(rec, k);
-    buf.Append(rec, 8);
-  }
-  std::sort(keys.begin(), keys.end());
-  std::vector<int64_t> sorted;
-  buf.SortAndVisit(
-      [](const uint8_t* a, const uint8_t* b) {
-        return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
-      },
-      [&](const uint8_t* rec, uint32_t) {
-        sorted.push_back(LoadRaw<int64_t>(rec));
-      });
-  EXPECT_EQ(sorted, keys);
-}
-
 /// End-to-end two-stage word count through the shuffle service. Factored
 /// into a helper so the parallel-equivalence tests below can run the same
 /// job with different worker-thread counts and compare outcomes bitwise.

@@ -200,13 +200,9 @@ TEST(HashBufferCapacityDeathTest, NonPowerOfTwoCapacityIsFatal) {
   jvm::Heap heap(hc, &registry);
   ShuffleOps ops = SumOps();
   auto deca = [&] { DecaHashShuffleBuffer b(&heap, &ops, 8 << 10, 48); };
-  auto deca_static = [&] {
-    DecaStaticHashShuffleBuffer b(&heap, &ops, 8 << 10, 100);
-  };
   auto object = [&] { ObjectHashShuffleBuffer b(&heap, &ops, 0); };
   auto group_by = [&] { ObjectGroupByBuffer b(&heap, &ops, 96); };
   EXPECT_DEATH(deca(), "power of two");
-  EXPECT_DEATH(deca_static(), "power of two");
   EXPECT_DEATH(object(), "power of two");
   EXPECT_DEATH(group_by(), "power of two");
 }
@@ -364,92 +360,6 @@ TEST_P(CacheEvictionPropertyTest, AllBlocksSurviveEvictionChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheEvictionPropertyTest,
                          ::testing::Range<uint64_t>(1, 6));
-
-
-/// The static-offset hash table (paper Section 4.3.2, "the pointer array
-/// can be avoided") must agree with the pointer-array variant.
-class StaticOffsetBufferTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(StaticOffsetBufferTest, MatchesPointerArrayVariant) {
-  SparkConfig cfg;
-  cfg.num_executors = 1;
-  cfg.heap.heap_bytes = 24u << 20;
-  cfg.spill_dir = "/tmp/deca_test_spill_prop";
-  SparkContext ctx(cfg);
-  jvm::Heap* h = ctx.executor(0)->heap();
-  ShuffleOps ops = SumOps();
-  DecaHashShuffleBuffer ptr_buf(h, &ops, 16 << 10);
-  DecaStaticHashShuffleBuffer static_buf(h, &ops, 16 << 10);
-  Rng rng(GetParam() * 11 + 5);
-  for (int i = 0; i < 8000; ++i) {
-    int64_t key = static_cast<int64_t>(rng.NextBounded(900));
-    int64_t value = static_cast<int64_t>(rng.NextBounded(50));
-    ptr_buf.Insert(reinterpret_cast<const uint8_t*>(&key),
-                   reinterpret_cast<const uint8_t*>(&value));
-    static_buf.Insert(reinterpret_cast<const uint8_t*>(&key),
-                      reinterpret_cast<const uint8_t*>(&value));
-  }
-  std::map<int64_t, int64_t> from_ptr, from_static;
-  ptr_buf.ForEach([&](const uint8_t* e) {
-    from_ptr[LoadRaw<int64_t>(e)] = LoadRaw<int64_t>(e + 8);
-  });
-  static_buf.ForEach([&](const uint8_t* e) {
-    from_static[LoadRaw<int64_t>(e)] = LoadRaw<int64_t>(e + 8);
-  });
-  EXPECT_EQ(from_ptr, from_static);
-  EXPECT_EQ(ptr_buf.size(), static_buf.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StaticOffsetBufferTest,
-                         ::testing::Range<uint64_t>(1, 6));
-
-/// Appendix C: the sort-spill writer must emit a globally sorted stream
-/// regardless of how many runs were spilled.
-class SortSpillTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SortSpillTest, MergedStreamIsSortedAndComplete) {
-  SparkConfig cfg;
-  cfg.num_executors = 1;
-  cfg.heap.heap_bytes = 24u << 20;
-  cfg.spill_dir = "/tmp/deca_test_spill_prop";
-  // Tiny unified budget: the execution pool denies pages early, forcing
-  // several spills (the writer spills when its page probe is denied).
-  uint64_t budget = GetParam() % 2 == 0 ? (32u << 10) : (1u << 20);
-  cfg.executor_memory_bytes = budget;
-  SparkContext ctx(cfg);
-  jvm::Heap* h = ctx.executor(0)->heap();
-  auto less = [](const uint8_t* a, const uint8_t* b) {
-    return LoadRaw<int64_t>(a) < LoadRaw<int64_t>(b);
-  };
-  DecaSortSpillWriter writer(h, 8 << 10, "/tmp/deca_test_spill_prop", less);
-  Rng rng(GetParam() * 7 + 3);
-  std::multiset<int64_t> expected;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    int64_t key = static_cast<int64_t>(rng.NextBounded(1'000'000));
-    expected.insert(key);
-    uint8_t rec[16];
-    StoreRaw<int64_t>(rec, key);
-    StoreRaw<int64_t>(rec + 8, key * 2);
-    writer.Append(rec, 16);
-  }
-  if (budget < (1u << 20)) {
-    EXPECT_GT(writer.spill_count(), 1u);
-  }
-  std::vector<int64_t> merged;
-  writer.Merge([&](const uint8_t* rec, uint32_t bytes) {
-    ASSERT_EQ(bytes, 16u);
-    int64_t key = LoadRaw<int64_t>(rec);
-    ASSERT_EQ(LoadRaw<int64_t>(rec + 8), key * 2);  // payload intact
-    merged.push_back(key);
-  });
-  ASSERT_EQ(merged.size(), static_cast<size_t>(n));
-  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
-  EXPECT_EQ(std::multiset<int64_t>(merged.begin(), merged.end()), expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SortSpillTest,
-                         ::testing::Range<uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace deca::spark
